@@ -1,17 +1,17 @@
 """Experiment execution: process-pool parallelism + on-disk memoization.
 
 The entry point is :class:`ExperimentEngine` (or, more conveniently,
-the ``jobs=`` / ``cache=`` keywords on
-:meth:`repro.validation.harness.Harness.run_grid`, which delegate
-here)::
+:meth:`repro.validation.harness.Harness.run_grid`, which delegates here
+for every ``RunOptions``)::
 
     from repro.validation import Harness
     from repro.core.simalpha import SimAlpha
+    from repro.exec.spec import RunOptions
     from repro.simulators.simoutorder import SimOutOrder
 
     grid = Harness().run_grid(
         [SimAlpha, SimOutOrder], ["C-R", "M-D", "gzip"],
-        jobs=4, cache=".repro-cache", timeout=120.0, retries=1,
+        RunOptions(jobs=4, cache=".repro-cache", timeout=120.0, retries=1),
     )
     for failure in grid.failures:      # fault-isolated, never raises
         print(failure.kind, failure.simulator, failure.workload)
@@ -22,7 +22,7 @@ unchanged inputs is pure cache hits and serialises byte-identically to
 the run that populated the cache.
 
 For crash-safe distribution one level up, :class:`ShardCoordinator`
-(``shards=`` on ``run_grid``) partitions the grid into work-stealing
+(``RunOptions(shards=...)``) partitions the grid into work-stealing
 leases over :class:`ShardRunner` subprocesses, each journaling to its
 own fsynced :class:`~repro.integrity.GridCheckpoint`, so runner loss —
 or coordinator loss, with a checkpoint — never loses completed cells.

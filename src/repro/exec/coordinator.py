@@ -25,10 +25,16 @@ in a complete grid, a diagnosable :class:`CellFailure` (including
 ``kind="lost"`` when every runner slot is exhausted), or a raised
 integrity error — never a hang.
 
+Every cell is measured by the runners' engines through
+:func:`~repro.validation.harness.run_cell`, like any other executor's,
+and settles through the shared :class:`~repro.exec.engine.Settlement`;
+the coordinator adds only the failure it alone can see
+(``kind="lost"``).
+
 Observability: ``shard.*`` counters in the :class:`MetricsRegistry`
 (leases granted/renewed/regranted/expired/stolen, cells
 computed/recovered/deduped/lost, runners lost/respawned, corrupt
-journals) plus per-cell :class:`RunLedger` records tagged with the
+journals) plus per-cell run-ledger records tagged with the
 committing shard.
 """
 
@@ -41,13 +47,18 @@ import shutil
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.exec.cache import ResultCache
-from repro.exec.engine import RetryBackoff, grid_cells
-from repro.exec.spec import RunOptions, fold_legacy_kwargs
+from repro.exec.engine import (
+    RetryBackoff,
+    Settlement,
+    grid_cells,
+    with_backend,
+)
+from repro.exec.spec import RunOptions
 from repro.exec.shard import PipeTransport, shard_journal_path, shard_runner_main
 from repro.integrity.checkpoint import CheckpointConflict, GridCheckpoint
 from repro.integrity.sanitizers import (
@@ -56,7 +67,7 @@ from repro.integrity.sanitizers import (
     Sanitizers,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.telemetry import GridProgress, RunLedger, mirror_to_metrics
+from repro.obs.telemetry import mirror_to_metrics
 from repro.result import SimResult
 from repro.validation.harness import CellFailure, ResultGrid, SimulatorFactory
 from repro.workloads.suite import WorkloadSet
@@ -109,10 +120,9 @@ class ShardCoordinator:
         A :class:`repro.exec.spec.RunOptions` carrying the execution
         envelope: ``shards`` (runner subprocesses to keep alive — the
         lease pull pool), ``cache``, ``retries``,
-        ``checkpoint``/``resume``, ``watchdog_s``, ``blockcache``,
-        ``ledger``, ``live_progress``.  The historical keyword
-        arguments still fold in through a deprecation shim.  The
-        fabric-tuning knobs below stay first-class keywords — they
+        ``checkpoint``/``resume``, ``ledger``, ``live_progress``, and
+        the single-cell options every runner measures cells under.
+        The fabric-tuning knobs below stay first-class keywords — they
         describe the coordinator, not the experiment.
     lease_size:
         Cells per lease.  Small leases steal better; large leases
@@ -153,12 +163,6 @@ class ShardCoordinator:
         Exceptions from the callback propagate (tests rely on it).
     """
 
-    #: The pre-RunOptions keyword surface, folded in with a warning.
-    _LEGACY_INIT = (
-        "shards", "cache", "retries", "checkpoint", "resume",
-        "watchdog_s", "blockcache",
-    )
-
     def __init__(
         self,
         workloads: Optional[WorkloadSet] = None,
@@ -175,16 +179,8 @@ class ShardCoordinator:
         backoff: Optional[RetryBackoff] = None,
         transport_wrapper: Optional[Callable] = None,
         on_event: Optional[Callable[[str, Dict], None]] = None,
-        **legacy,
     ):
-        opts = fold_legacy_kwargs(
-            options, legacy, allowed=self._LEGACY_INIT,
-            owner="ShardCoordinator()",
-        )
-        if options is None and "shards" not in legacy:
-            # The coordinator's historical default fleet is two
-            # runners; RunOptions defaults to the serial shards=1.
-            opts = opts.replace(shards=2)
+        opts = options if options is not None else RunOptions()
         self.options = opts
         self.workloads = workloads or WorkloadSet()
         self.shards = max(1, int(opts.shards))
@@ -214,8 +210,6 @@ class ShardCoordinator:
         self.sanitizers = sanitizers if sanitizers is not None else (
             opts.sanitizer_bundle() or Sanitizers.disabled()
         )
-        self.watchdog_s = opts.watchdog_s
-        self.retries = max(0, int(opts.retries))
         self.backoff = backoff if backoff is not None else RetryBackoff()
         checkpoint = opts.checkpoint
         if isinstance(checkpoint, GridCheckpoint):
@@ -224,7 +218,6 @@ class ShardCoordinator:
             os.fspath(checkpoint) if checkpoint is not None else None
         )
         self.resume = opts.resume
-        self.blockcache = opts.blockcache
         self.transport_wrapper = transport_wrapper
         self.on_event = on_event
         self._ctx = (
@@ -256,19 +249,16 @@ class ShardCoordinator:
         *,
         instrumentation=None,
         progress: Optional[Callable[[str, str], None]] = None,
-        ledger=None,
-        live_progress: bool = False,
     ) -> ResultGrid:
         """Run every factory over every workload across the shard
         fleet; same contract as :meth:`ExperimentEngine.run_grid` (a
         result or a :class:`CellFailure` for every cell, serial order,
-        canonical serialisation byte-identical to a serial run)."""
-        if ledger is None:
-            ledger = self.options.ledger
-        live_progress = live_progress or self.options.live_progress
+        canonical serialisation byte-identical to an in-process run)."""
         names = list(workload_names)
+        factories = with_backend(factories, self.options)
         cells = grid_cells(
-            self.workloads, factories, names, blockcache=self.blockcache,
+            self.workloads, factories, names,
+            blockcache=self.options.blockcache,
         )
         digest_of = {
             cell.index: cell.key.digest() for cell in cells
@@ -283,18 +273,9 @@ class ShardCoordinator:
             tempdir = tempfile.mkdtemp(prefix="repro-shards-")
             base = os.path.join(tempdir, "grid.journal")
 
-        owns_ledger = isinstance(ledger, (str, os.PathLike))
-        if owns_ledger:
-            ledger = RunLedger(ledger)
-        progress_line = GridProgress(len(cells)) if live_progress else None
-
-        results: Dict[int, SimResult] = {}
-        failures: Dict[int, CellFailure] = {}
+        sink = Settlement(len(cells), self.options)
         state = {
-            "results": results,
-            "failures": failures,
-            "ledger": ledger,
-            "progress_line": progress_line,
+            "sink": sink,
             "cells": cells,
             "digest_of": digest_of,
             "index_of": index_of,
@@ -313,15 +294,14 @@ class ShardCoordinator:
         # Serve result-cache hits in the coordinator before leasing.
         if self.cache is not None:
             for cell in cells:
-                if cell.index in results or cell.index in failures:
+                if sink.settled(cell.index):
                     continue
                 hit = self.cache.get(cell.key)
                 if hit is not None:
                     self._commit(cell.index, hit, "cache", state)
 
         pending = deque(
-            cell.index for cell in cells
-            if cell.index not in results and cell.index not in failures
+            cell.index for cell in cells if not sink.settled(cell.index)
         )
         strict_violation: List[Dict] = []
         runners: Dict[int, _RunnerState] = {}
@@ -333,10 +313,7 @@ class ShardCoordinator:
                 )
         finally:
             self._shutdown(runners)
-            if progress_line is not None:
-                progress_line.close()
-            if owns_ledger:
-                ledger.close()
+            sink.close()
 
         if strict_violation:
             raise IntegrityError(
@@ -347,13 +324,7 @@ class ShardCoordinator:
         if tempdir is not None:
             shutil.rmtree(tempdir, ignore_errors=True)
 
-        grid = ResultGrid()
-        for cell in cells:
-            result = results.get(cell.index)
-            if result is not None:
-                grid.add(result)
-        grid.failures.extend(failures[index] for index in sorted(failures))
-        return grid
+        return sink.grid(cells)
 
     # -- recovery ----------------------------------------------------------
 
@@ -362,9 +333,8 @@ class ShardCoordinator:
         """At-most-once commit of one cell result, deduplicated by the
         cell's digest: a duplicate identical payload is counted and
         dropped; a duplicate *different* payload raises."""
-        results = state["results"]
-        failures = state["failures"]
-        existing = results.get(index)
+        sink = state["sink"]
+        existing = sink.results.get(index)
         if existing is not None:
             if existing.canonical_dict() != result.canonical_dict():
                 digest = state["digest_of"][index]
@@ -375,32 +345,24 @@ class ShardCoordinator:
                 )
             self._counter("shard.cells.deduped").inc()
             return
-        if index in failures:
+        if index in sink.failures:
             # A late success for a cell already settled as a failure
             # (e.g. a revoked runner reporting after its replacement
             # failed): first settlement wins.
             self._counter("shard.cells.deduped").inc()
             return
-        results[index] = result
-        if result.telemetry is not None:
-            # Operational provenance for ledgers and raw dumps; blanked
-            # (with the whole telemetry record) under canonical
-            # serialisation so sharded and serial grids stay
-            # byte-identical.
-            result.telemetry.source = (
-                source if runner_id is None else f"shard-{runner_id}"
-            )
         if source == "run":
             self._counter("shard.cells.computed").inc()
         else:
             self._counter(f"shard.cells.{source}").inc()
         cell = state["cells"][index]
-        if result.telemetry is not None:
-            mirror_to_metrics(
-                self.metrics, cell.sim_name, cell.workload,
-                result.telemetry,
-            )
-        self._note(state, cell, "ok", source, runner_id, result.telemetry)
+        mirror_to_metrics(
+            self.metrics, cell.sim_name, cell.workload, result.telemetry,
+        )
+        # The ledger tag doubles as the telemetry's ``source``:
+        # operational provenance, blanked (with the whole telemetry
+        # record) under canonical serialisation.
+        sink.result(cell, result, source=_tag(source, runner_id))
         self._event(
             "cell_committed", index=index, source=source,
             runner_id=runner_id,
@@ -409,29 +371,18 @@ class ShardCoordinator:
     def _commit_failure(self, index: int, failure: CellFailure,
                         state: Dict,
                         runner_id: Optional[int] = None) -> None:
-        if index in state["results"] or index in state["failures"]:
+        sink = state["sink"]
+        if sink.settled(index):
             self._counter("shard.cells.deduped").inc()
             return
-        state["failures"][index] = failure
         self._counter("shard.cells.failed").inc()
-        cell = state["cells"][index]
-        self._note(state, cell, failure.kind, "run", runner_id, None)
+        sink.failure(
+            state["cells"][index], failure, source=_tag("run", runner_id)
+        )
         self._event(
             "cell_failed", index=index, kind=failure.kind,
             runner_id=runner_id,
         )
-
-    def _note(self, state, cell, status, source, runner_id,
-              telemetry) -> None:
-        ledger = state["ledger"]
-        if ledger is not None:
-            tag = source if runner_id is None else f"shard-{runner_id}"
-            ledger.record(
-                simulator=cell.sim_name, workload=cell.workload,
-                status=status, source=tag, telemetry=telemetry,
-            )
-        if state["progress_line"] is not None:
-            state["progress_line"].update()
 
     def _recover_resume(self, base: str, state: Dict) -> None:
         """Coordinator-restart path: commit every cell the main and
@@ -466,7 +417,7 @@ class ShardCoordinator:
             index = state["index_of"].get(digest)
             if index is None:
                 continue  # stale digest from an earlier configuration
-            if index in state["results"] or index in state["failures"]:
+            if state["sink"].settled(index):
                 continue
             self._commit(index, result, "recovered", state)
             recovered += 1
@@ -583,8 +534,7 @@ class ShardCoordinator:
             self._counter("shard.cells.journal_recovered").inc(recovered)
         if runner.lease is not None:
             for index in sorted(runner.lease.remaining, reverse=True):
-                if (index in state["results"]
-                        or index in state["failures"]):
+                if state["sink"].settled(index):
                     continue
                 stolen_from[index] = runner.runner_id
                 pending.appendleft(index)
@@ -593,8 +543,7 @@ class ShardCoordinator:
     def _run_fleet(self, base, factories, names, cells, pending,
                    state, runners, strict_violation, instrumentation,
                    progress) -> None:
-        results = state["results"]
-        failures = state["failures"]
+        sink = state["sink"]
         total = len(cells)
         next_lease_id = 0
         next_runner_id = self.shards
@@ -613,14 +562,14 @@ class ShardCoordinator:
             return [r for r in runners.values() if r.alive]
 
         def settled() -> int:
-            return len(results) + len(failures)
+            return len(sink.results) + len(sink.failures)
 
         def grant(runner: _RunnerState) -> None:
             nonlocal next_lease_id
             indices = []
             while pending and len(indices) < self.lease_size:
                 index = pending.popleft()
-                if index in results or index in failures:
+                if sink.settled(index):
                     continue
                 indices.append(index)
             if not indices:
@@ -779,8 +728,7 @@ class ShardCoordinator:
                 # No survivors and no budget: settle what remains as
                 # diagnosable losses rather than spinning forever.
                 for cell in cells:
-                    if (cell.index in results
-                            or cell.index in failures):
+                    if sink.settled(cell.index):
                         continue
                     self._commit_failure(cell.index, CellFailure(
                         simulator=cell.sim_name,
@@ -864,6 +812,12 @@ class ShardCoordinator:
                 timeout=max(0.0, deadline - time.monotonic())
             )
             self._kill_runner(runner)
+
+
+def _tag(source: str, runner_id: Optional[int]) -> str:
+    """Where a committed cell came from: the shard that ran it, else
+    ``source``."""
+    return source if runner_id is None else f"shard-{runner_id}"
 
 
 def shard_status(base: str) -> Dict:

@@ -1,36 +1,40 @@
 """The experiment execution engine: parallel, cached, fault-isolated.
 
 The paper's evaluation is one large (simulator x workload) grid
-re-visited by every table; the serial harness pays full price for
-every cell on every run.  This engine executes the same cells
+re-visited by every table.  This engine executes its cells
 
 * **memoized** — each cell is content-addressed by its
   :class:`~repro.exec.cache.CacheKey` (configuration hash, workload
   trace fingerprint, package version) and recomputed only when an
   input changed;
-* **in parallel** — cache misses fan out over a pool of forked worker
-  processes (``jobs`` wide), each timing one cell and shipping the
-  :class:`~repro.result.SimResult` back over a pipe.  Traces are built
-  once in the parent and inherited by the workers through fork, so no
-  worker ever rebuilds a workload;
-* **fault-isolated** — a cell that raises, dies, or exceeds its
-  per-cell ``timeout`` is retried up to ``retries`` times and then
-  recorded as a :class:`~repro.validation.harness.CellFailure` on the
-  returned grid; every other cell still completes.
+* **in process or in parallel** — at ``jobs=1`` cells run one after
+  another in this process; above it, cache misses fan out over a pool
+  of forked worker processes (``jobs`` wide), each measuring one cell
+  and shipping its :class:`~repro.validation.harness.CellOutcome` back
+  over a pipe.  Traces are built once in the parent and inherited by
+  the workers through fork, so no worker ever rebuilds a workload;
+* **fault-isolated** — every cell is measured and classified by
+  :func:`~repro.validation.harness.run_cell`; a cell that raises, dies,
+  or exceeds its per-cell ``timeout`` is retried up to ``retries``
+  times and then recorded as a
+  :class:`~repro.validation.harness.CellFailure` on the returned grid;
+  every other cell still completes.
 
-Results are inserted into the :class:`ResultGrid` in the exact order
-the serial harness would produce, so a parallel run serialises
-identically to a serial one.
+Every settled cell goes through one :class:`Settlement` (result cache,
+checkpoint journal, run ledger, progress line), which the shard
+coordinator and runners share.  Results are inserted into the
+:class:`ResultGrid` in serial grid order, so every execution mode
+serialises identically.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import multiprocessing
 import os
 import signal
 import time
-import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
@@ -38,17 +42,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.blockcache import BLOCKCACHE_VERSION
 from repro.exec.cache import CacheKey, ResultCache, fingerprint_trace
-from repro.exec.spec import RunOptions, fold_legacy_kwargs
+from repro.exec.spec import RunOptions
 from repro.integrity.checkpoint import GridCheckpoint
-from repro.integrity.sanitizers import (
-    IntegrityError,
-    InvariantViolation,
-    Sanitizers,
-)
-from repro.integrity.watchdog import (
-    SimulationStuck,
-    install_escalation_handler,
-)
+from repro.integrity.sanitizers import IntegrityError, Sanitizers
+from repro.integrity.watchdog import install_escalation_handler
 from repro.obs.observer import Instrumentation
 from repro.obs.provenance import _package_version, config_hash
 from repro.obs.registry import MetricsRegistry
@@ -56,14 +53,22 @@ from repro.obs.telemetry import GridProgress, RunLedger, mirror_to_metrics
 from repro.result import SimResult
 from repro.validation.harness import (
     CellFailure,
-    Harness,
+    CellOutcome,
     ResultGrid,
     SimulatorFactory,
-    quarantine_failure,
+    _with_dram_backend,
+    run_cell,
 )
 from repro.workloads.suite import WorkloadSet
 
-__all__ = ["ExperimentEngine", "CellFailure", "RetryBackoff", "grid_cells"]
+__all__ = [
+    "ExperimentEngine", "CellFailure", "RetryBackoff", "Settlement",
+    "grid_cells",
+]
+
+#: Failure kinds worth another attempt.  Quarantines and livelocks are
+#: deterministic model defects: retrying them only burns the budget.
+_RETRIED_KINDS = frozenset({"exception", "crash", "timeout"})
 
 
 class RetryBackoff:
@@ -200,26 +205,94 @@ def grid_cells(
     return cells
 
 
-def _worker_main(conn, factory, workload, workload_set, instrumentation,
-                 sanitizers=None, options=None):
-    """Body of one forked worker: time one cell, ship the result back.
+def with_backend(factories: Sequence[SimulatorFactory],
+                 options: RunOptions) -> List[SimulatorFactory]:
+    """``factories`` under ``options.dram_backend``: a grid keys its
+    cells by the configuration they really run."""
+    if options.dram_backend is None:
+        return list(factories)
+    return [
+        _with_dram_backend(factory, options.dram_backend)
+        for factory in factories
+    ]
 
-    Runs through the same :class:`Harness` cell path as serial
-    execution (observer wiring, sanitizer audit, provenance capture),
-    so results are indistinguishable from serially produced ones.
 
-    Wire protocol (first tuple element):
+class Settlement:
+    """Where the settled cells of one grid land, whichever executor
+    ran them: the result and failure maps, the result cache and the
+    checkpoint journal (fresh results only), and the ``options``'
+    run ledger and live progress line."""
 
-    * ``"ok"`` — clean result follows;
-    * ``"quarantined"`` — the sanitizers flagged the run; a list of
-      violation dicts follows and the result is withheld;
-    * ``"strict"`` — a violation under a strict bundle; the parent
-      re-raises :class:`IntegrityError` and aborts the grid;
-    * ``"stuck"`` — the watchdog diagnosed a livelock inside the
-      worker (or the parent escalated a wall-clock timeout over
-      SIGUSR1); message + state snapshot follow;
-    * ``"error"`` — any other exception; formatted traceback follows.
-    """
+    def __init__(self, total: int, options: RunOptions, *,
+                 cache: Optional[ResultCache] = None,
+                 checkpoint: Optional[GridCheckpoint] = None):
+        self.results: Dict[int, SimResult] = {}
+        self.failures: Dict[int, CellFailure] = {}
+        self.cache = cache
+        self.checkpoint = checkpoint
+        ledger = options.ledger
+        self._owns_ledger = isinstance(ledger, (str, os.PathLike))
+        self.ledger = RunLedger(ledger) if self._owns_ledger else ledger
+        self.progress = GridProgress(total) if options.live_progress else None
+
+    def settled(self, index: int) -> bool:
+        return index in self.results or index in self.failures
+
+    def result(self, cell: _Cell, result: SimResult, *,
+               source: str = "run", attempts: int = 1) -> None:
+        """Settle ``cell`` with ``result`` from ``source`` (``run`` for
+        a fresh measurement, which is cached and journaled)."""
+        self.results[cell.index] = result
+        if source == "run":
+            if self.cache is not None:
+                self.cache.put(cell.key, result)
+            if self.checkpoint is not None:
+                self.checkpoint.record(cell.key.digest(), result)
+        self._note(cell, "ok", source, attempts, result.telemetry)
+
+    def failure(self, cell: _Cell, failure: CellFailure, *,
+                source: str = "run") -> None:
+        self.failures[cell.index] = failure
+        self._note(cell, failure.kind, source, failure.attempts, None)
+
+    def _note(self, cell, status, source, attempts, telemetry) -> None:
+        """Report one settled cell to the ledger and progress line,
+        stamping the settling source onto its telemetry."""
+        if telemetry is not None:
+            telemetry.source = source
+        if self.ledger is not None:
+            self.ledger.record(
+                simulator=cell.sim_name, workload=cell.workload,
+                status=status, source=source, attempts=attempts,
+                telemetry=telemetry,
+            )
+        if self.progress is not None:
+            self.progress.update()
+
+    def grid(self, cells: Sequence[_Cell]) -> ResultGrid:
+        """The settled cells as a grid, in serial order."""
+        grid = ResultGrid()
+        for cell in cells:
+            result = self.results.get(cell.index)
+            if result is not None:
+                grid.add(result)
+        grid.failures.extend(
+            self.failures[index] for index in sorted(self.failures)
+        )
+        return grid
+
+    def close(self) -> None:
+        if self.progress is not None:
+            self.progress.close()
+        if self._owns_ledger:
+            self.ledger.close()
+
+
+def _worker_main(conn, engine, cell, instrumentation) -> None:
+    """Body of one forked pool worker: measure one cell exactly as the
+    in-process loop does and pickle its :class:`CellOutcome` back.  A
+    strict sanitizer bundle's :class:`IntegrityError` is sent instead,
+    for the parent to re-raise; a worker that dies sends nothing."""
     # A Ctrl-C in the parent delivers SIGINT to the whole foreground
     # process group.  The parent owns shutdown (it terminates and joins
     # the pool); workers ignoring SIGINT turn that into one clean
@@ -228,44 +301,20 @@ def _worker_main(conn, factory, workload, workload_set, instrumentation,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     install_escalation_handler()
     try:
-        harness = Harness(
-            workload_set, (options or RunOptions()).trimmed(),
-            sanitizers=sanitizers,
+        message = engine._measure(
+            cell.factory, cell.workload, instrumentation
         )
-        try:
-            result = harness.run_one(
-                factory, workload, instrumentation=instrumentation
-            )
-        except IntegrityError as exc:
-            if sanitizers is not None and sanitizers.strict:
-                conn.send(("strict", exc.violation.to_dict()))
-            else:
-                conn.send(("quarantined", [exc.violation.to_dict()]))
-        except SimulationStuck as exc:
-            conn.send(("stuck", str(exc), {
-                "detail": exc.detail,
-                "instructions": exc.instructions, "retire": exc.retire,
-                "state": exc.state,
-            }))
-        else:
-            if harness.last_violations:
-                conn.send(("quarantined", [
-                    v.to_dict() for v in harness.last_violations
-                ]))
-            else:
-                conn.send(("ok", result))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc(limit=20)))
-        except Exception:  # pragma: no cover - parent already gone
-            pass
+    except IntegrityError as exc:
+        message = exc
+    try:
+        conn.send(message)
     finally:
         conn.close()
 
 
 class ExperimentEngine:
-    """Runs (simulator x workload) grids over a process pool with an
-    on-disk result cache.
+    """Runs (simulator x workload) grids in process or over a process
+    pool, with an on-disk result cache.
 
     Parameters
     ----------
@@ -274,8 +323,8 @@ class ExperimentEngine:
         in the parent, before any worker forks).
     options:
         A :class:`repro.exec.spec.RunOptions` carrying the execution
-        envelope — ``jobs`` (pool width; ``1`` times cells in-process,
-        still exercising cache and fault isolation), ``cache`` (a
+        envelope — ``jobs`` (pool width; ``1`` runs cells in process,
+        still with cache and fault isolation), ``cache`` (a
         :class:`ResultCache` or directory path), ``timeout`` (per-cell
         wall-clock budget, pool mode; an expired worker is escalated
         over SIGUSR1 with ``escalation_grace_s`` to dump a
@@ -283,14 +332,13 @@ class ExperimentEngine:
         ``retries``, ``refresh`` (invalidate-and-recompute touched
         cache entries), ``checkpoint``/``resume`` (a
         :class:`repro.integrity.GridCheckpoint` or journal path;
-        resume satisfies already-journaled cells), ``watchdog_s``
-        (in-run livelock stall budget), and ``blockcache``
-        (trace-compilation control, mixed into cache keys whenever the
-        fast path may engage).  The historical keyword arguments still
-        fold in through a deprecation shim.
+        resume satisfies already-journaled cells), ``ledger`` and
+        ``live_progress``, and the single-cell options every cell runs
+        under (``watchdog_s``, ``blockcache`` — mixed into cache keys
+        whenever the fast path may engage — and ``dram_backend``).
     metrics:
         A :class:`MetricsRegistry`; receives ``exec.cache.*`` traffic
-        counters, per-cell ``exec.cell.*`` timers, and pool counters.
+        counters, ``exec.cells.*`` counters and per-cell telemetry.
     sanitizers:
         A :class:`repro.integrity.Sanitizers` bundle (otherwise built
         from the options' ``sanitize``/``strict`` flags; disabled by
@@ -303,12 +351,6 @@ class ExperimentEngine:
         to a 2s cap, with deterministic jitter).
     """
 
-    #: The pre-RunOptions keyword surface, folded in with a warning.
-    _LEGACY_INIT = (
-        "jobs", "cache", "timeout", "retries", "refresh", "watchdog_s",
-        "checkpoint", "resume", "escalation_grace_s", "blockcache",
-    )
-
     def __init__(
         self,
         workloads: Optional[WorkloadSet] = None,
@@ -317,32 +359,22 @@ class ExperimentEngine:
         metrics: Optional[MetricsRegistry] = None,
         sanitizers: Optional[Sanitizers] = None,
         backoff: Optional[RetryBackoff] = None,
-        **legacy,
     ):
-        opts = fold_legacy_kwargs(
-            options, legacy, allowed=self._LEGACY_INIT,
-            owner="ExperimentEngine()",
-        )
+        opts = options if options is not None else RunOptions()
         self.options = opts
         self.workloads = workloads or WorkloadSet()
-        self.blockcache = opts.blockcache
         self.jobs = max(1, int(opts.jobs))
-        self.timeout = opts.timeout
-        self.escalation_grace_s = max(0.0, float(opts.escalation_grace_s))
         self.retries = max(0, int(opts.retries))
         self.metrics = metrics if metrics is not None else (
             MetricsRegistry.disabled()
         )
-        self.refresh = opts.refresh
         self.sanitizers = sanitizers if sanitizers is not None else (
             opts.sanitizer_bundle() or Sanitizers.disabled()
         )
-        self.watchdog_s = opts.watchdog_s
         checkpoint = opts.checkpoint
         if isinstance(checkpoint, (str, os.PathLike)):
             checkpoint = GridCheckpoint(checkpoint)
         self.checkpoint: Optional[GridCheckpoint] = checkpoint
-        self.resume = opts.resume
         self.backoff = backoff if backoff is not None else RetryBackoff()
         cache = opts.cache
         if isinstance(cache, (str, os.PathLike)):
@@ -350,10 +382,6 @@ class ExperimentEngine:
         if cache is not None and cache.metrics is None:
             cache.metrics = self.metrics
         self.cache: Optional[ResultCache] = cache
-        #: Live per-grid telemetry sinks (set for the duration of one
-        #: :meth:`run_grid` call; ``None`` otherwise).
-        self._ledger: Optional[RunLedger] = None
-        self._progress_line: Optional[GridProgress] = None
         self._ctx = (
             multiprocessing.get_context("fork")
             if "fork" in multiprocessing.get_all_start_methods()
@@ -366,7 +394,24 @@ class ExperimentEngine:
         self, sim_name: str, cfg_hash: str, workload: str, trace_fp: str
     ) -> CacheKey:
         return _grid_cell_key(
-            sim_name, cfg_hash, workload, trace_fp, self.blockcache
+            sim_name, cfg_hash, workload, trace_fp, self.options.blockcache
+        )
+
+    def _cells(self, factories, names) -> List[_Cell]:
+        # Content-addressed only when a cache or journal needs the
+        # keys: fingerprinting every trace costs more than a small
+        # grid does.
+        return grid_cells(
+            self.workloads, with_backend(factories, self.options), names,
+            blockcache=self.options.blockcache,
+            keyed=self.cache is not None or self.checkpoint is not None,
+        )
+
+    def settlement(self, total: int) -> Settlement:
+        """A :class:`Settlement` writing this engine's cache and
+        journal."""
+        return Settlement(
+            total, self.options, cache=self.cache, checkpoint=self.checkpoint
         )
 
     # -- the grid ----------------------------------------------------------
@@ -378,109 +423,36 @@ class ExperimentEngine:
         *,
         instrumentation: Optional[Instrumentation] = None,
         progress: Optional[Callable[[str, str], None]] = None,
-        ledger=None,
-        live_progress: bool = False,
     ) -> ResultGrid:
         """Run every factory over every workload; see the module doc.
 
         The returned grid holds a result for every cell that completed
         and a :class:`CellFailure` for every cell that exhausted its
-        attempts, in serial iteration order.
-
-        ``ledger`` (a :class:`~repro.obs.telemetry.RunLedger` or a
-        JSONL path) appends one telemetry record per settled cell;
-        ``live_progress=True`` renders a live
-        ``cells done/total, cells/s, ETA`` line on stderr.  Both
-        default from the engine's :class:`RunOptions`.
+        attempts, in serial iteration order.  ``progress(simulator,
+        workload)`` is called before each attempt.
         """
-        if ledger is None:
-            ledger = self.options.ledger
-        live_progress = live_progress or self.options.live_progress
-        names = list(workload_names)
         self.metrics.gauge("exec.jobs").set(self.jobs)
-
-        # Build every trace in the parent: cached in the WorkloadSet,
-        # inherited by workers via fork, fingerprinted once each.
-        # Content-addressed keys serve both the result cache and the
-        # checkpoint journal.
-        keyed = self.cache is not None or self.checkpoint is not None
-        cells = grid_cells(
-            self.workloads, factories, names,
-            blockcache=self.blockcache, keyed=keyed,
-        )
-
-        owns_ledger = isinstance(ledger, (str, os.PathLike))
-        if owns_ledger:
-            ledger = RunLedger(ledger)
-        self._ledger = ledger
-        self._progress_line = (
-            GridProgress(len(cells)) if live_progress else None
-        )
-
-        # Resolve checkpointed cells (resuming) and cache hits (or,
-        # refreshing, drop stale entries).
-        checkpointed: Dict[str, SimResult] = {}
-        if self.checkpoint is not None and self.resume:
-            checkpointed = self.checkpoint.load()
-            self.metrics.gauge("exec.checkpoint.entries").set(
-                len(checkpointed)
-            )
-        results: Dict[int, SimResult] = {}
-        to_run: List[_Cell] = []
-        for cell in cells:
-            if checkpointed:
-                hit = checkpointed.get(cell.key.digest())
-                if hit is not None:
-                    results[cell.index] = hit
-                    self.metrics.counter("exec.checkpoint.resumed").inc()
-                    self._note_cell(
-                        cell.sim_name, cell.workload, "ok",
-                        source="checkpoint", telemetry=hit.telemetry,
-                    )
-                    continue
-            if self.cache is not None and self.refresh:
-                self.cache.invalidate(cell.key)
-            elif self.cache is not None:
-                hit = self.cache.get(cell.key)
-                if hit is not None:
-                    results[cell.index] = hit
-                    self._note_cell(
-                        cell.sim_name, cell.workload, "ok",
-                        source="cache", telemetry=hit.telemetry,
-                    )
-                    continue
-            to_run.append(cell)
-
-        failures: Dict[int, CellFailure] = {}
+        cells = self._cells(factories, list(workload_names))
+        sink = self.settlement(len(cells))
         try:
-            if to_run:
-                if self.jobs > 1 and self._ctx is not None:
-                    self._run_pool(
-                        to_run, results, failures, instrumentation, progress
-                    )
-                else:
-                    self._run_inprocess(
-                        to_run, results, failures, instrumentation, progress
-                    )
+            if self.checkpoint is not None and self.options.resume:
+                self.metrics.gauge("exec.checkpoint.entries").set(
+                    len(self.checkpoint.load())
+                )
+            to_run = [
+                cell for cell in cells
+                if self._serve_hit(cell, sink) is None
+            ]
+            if to_run and self.jobs > 1 and self._ctx is not None:
+                self._run_pool(to_run, sink, instrumentation, progress)
+            else:
+                for cell in to_run:
+                    self._run_inline(cell, sink, instrumentation, progress)
         finally:
             if self.checkpoint is not None:
                 self.checkpoint.flush()
-            if self._progress_line is not None:
-                self._progress_line.close()
-            self._progress_line = None
-            self._ledger = None
-            if owns_ledger:
-                ledger.close()
-
-        grid = ResultGrid()
-        for cell in cells:
-            result = results.get(cell.index)
-            if result is not None:
-                grid.add(result)
-        grid.failures.extend(
-            failures[index] for index in sorted(failures)
-        )
-        return grid
+            sink.close()
+        return sink.grid(cells)
 
     def refresh_cell(
         self,
@@ -490,235 +462,130 @@ class ExperimentEngine:
         *,
         instrumentation: Optional[Instrumentation] = None,
     ) -> SimResult:
-        """Recompute one cell, overwrite its cache entry, and replace
-        it in ``grid`` (the ``ResultGrid.add(..., replace=True)``
-        escape hatch)."""
-        harness = Harness(
-            self.workloads, RunOptions(blockcache=self.blockcache),
-            metrics=self.metrics,
-        )
-        result = harness.run_one(
-            factory, workload, instrumentation=instrumentation
-        )
-        if self.cache is not None:
-            probe = factory()
-            key = self._cell_key(
-                probe.name,
-                config_hash(getattr(probe, "config", None)),
-                workload,
-                fingerprint_trace(self.workloads.trace(workload)),
-            )
-            self.cache.put(key, result)
-        grid.add(result, replace=True)
-        return grid.get(result.simulator, result.workload)
+        """Recompute one cell with this engine's options, overwrite its
+        cache entry, and replace it in ``grid`` (the
+        ``ResultGrid.add(..., replace=True)`` escape hatch).
 
-    # -- execution backends ------------------------------------------------
-
-    def _note_cell(self, simulator: str, workload: str, status: str,
-                   *, source: str = "run", attempts: int = 1,
-                   telemetry=None) -> None:
-        """Report one settled cell to the run ledger and progress
-        line, stamping the settling source onto its telemetry."""
-        if telemetry is not None:
-            telemetry.source = source
-        if self._ledger is not None:
-            self._ledger.record(
-                simulator=simulator, workload=workload, status=status,
-                source=source, attempts=attempts, telemetry=telemetry,
-            )
-        if self._progress_line is not None:
-            self._progress_line.update()
-
-    def _record_success(self, cell: _Cell, result: SimResult,
-                        elapsed: float, attempts: int = 1) -> None:
-        self.metrics.timer(
-            f"exec.cell.{cell.sim_name}.{cell.workload}"
-        ).observe(elapsed)
-        self.metrics.counter("exec.cells.completed").inc()
-        if self.cache is not None:
-            self.cache.put(cell.key, result)
-        if self.checkpoint is not None:
-            self.checkpoint.record(cell.key.digest(), result)
-        self._note_cell(
-            cell.sim_name, cell.workload, "ok",
-            attempts=attempts, telemetry=result.telemetry,
-        )
-
-    def _quarantine(self, cell: _Cell,
-                    violations: List[InvariantViolation],
-                    failures: Dict[int, CellFailure],
-                    attempts: int, elapsed: float) -> None:
-        """Record a sanitizer-flagged cell; quarantines are
-        deterministic model defects, so they are never retried and
-        never cached."""
-        failures[cell.index] = quarantine_failure(
-            violations,
-            simulator=cell.sim_name, workload=cell.workload,
-            attempts=attempts, elapsed_s=elapsed,
-        )
-        self.metrics.counter("exec.cells.quarantined").inc()
-        self._note_cell(
-            cell.sim_name, cell.workload, "invariant", attempts=attempts
-        )
-
-    def _stuck_failure(self, cell: _Cell, message: str,
-                       snapshot: Optional[Dict],
-                       failures: Dict[int, CellFailure],
-                       attempts: int, elapsed: float) -> None:
-        """Record a diagnosed livelock; deterministic, so no retry."""
-        failures[cell.index] = CellFailure(
-            simulator=cell.sim_name,
-            workload=cell.workload,
-            kind="stuck",
-            message=message,
-            attempts=attempts,
-            elapsed_s=elapsed,
-            snapshot=snapshot,
-        )
-        self.metrics.counter("exec.cells.failed").inc()
-        self._note_cell(
-            cell.sim_name, cell.workload, "stuck", attempts=attempts
-        )
-
-    def _cell_harness(self) -> Harness:
-        """A fresh in-process harness wired with this engine's
-        sanitizer/watchdog/blockcache settings."""
-        return Harness(
-            self.workloads, self.options.trimmed(),
-            metrics=self.metrics, sanitizers=self.sanitizers,
-        )
-
-    def _execute_cell(self, harness, cell, instrumentation,
-                      failures, progress=None) -> Optional[SimResult]:
-        """Run one cell in-process through its full retry budget.
-
-        Returns the result on success (recorded into cache/checkpoint/
-        ledger); on failure records a :class:`CellFailure` under
-        ``failures[cell.index]`` and returns ``None``.  Strict
-        sanitizer violations raise :class:`IntegrityError`, exactly as
-        the serial backend always has.
+        Raises what the cell raised, like :meth:`Harness.run_one`.  A
+        quarantined result is returned but neither cached nor put in
+        the grid; its failure is appended to ``grid.failures``.
         """
-        attempts = 1 + self.retries
-        for attempt in range(1, attempts + 1):
+        [factory] = with_backend([factory], self.options)
+        outcome = self._measure(factory, workload, instrumentation)
+        result = outcome.unwrap()
+        if outcome.failure is not None:
+            grid.failures.append(outcome.failure)
+            return result
+        if self.cache is not None:
+            [cell] = grid_cells(
+                self.workloads, [factory], [workload],
+                blockcache=self.options.blockcache,
+            )
+            self.cache.put(cell.key, result)
+        grid.add(result, replace=True)
+        return result
+
+    # -- one cell ----------------------------------------------------------
+
+    def _serve_hit(self, cell: _Cell, sink: Settlement) -> Optional[str]:
+        """Settle ``cell`` from the checkpoint journal (resuming) or the
+        result cache and return which; ``None`` means it must run.
+        Refreshing drops the cell's cache entry instead."""
+        if cell.key is None:
+            return None
+        if self.checkpoint is not None and self.options.resume:
+            hit = self.checkpoint.get(cell.key.digest())
+            if hit is not None:
+                self.metrics.counter("exec.checkpoint.resumed").inc()
+                sink.result(cell, hit, source="checkpoint")
+                return "checkpoint"
+        if self.cache is not None:
+            if self.options.refresh:
+                self.cache.invalidate(cell.key)
+                return None
+            hit = self.cache.get(cell.key)
+            if hit is not None:
+                sink.result(cell, hit, source="cache")
+                return "cache"
+        return None
+
+    def _measure(self, factory: SimulatorFactory, workload: str,
+                 instrumentation) -> CellOutcome:
+        """One attempt at a cell in this process."""
+        return run_cell(
+            factory, workload, self.workloads.trace(workload),
+            options=self.options, sanitizers=self.sanitizers,
+            instrumentation=instrumentation, metrics=self.metrics,
+        )
+
+    def _settle(self, cell: _Cell, outcome: CellOutcome, attempt: int,
+                sink: Settlement) -> bool:
+        """Settle one attempt's outcome; ``True`` means the cell failed
+        in a retriable way with budget left, and must run again."""
+        failure = outcome.failure
+        if failure is None:
+            self.metrics.counter("exec.cells.completed").inc()
+            sink.result(cell, outcome.result, attempts=attempt)
+            return False
+        if failure.kind in _RETRIED_KINDS and attempt <= self.retries:
+            self.metrics.counter("exec.cells.retried").inc()
+            return True
+        self.metrics.counter(
+            "exec.cells.quarantined" if failure.kind == "invariant"
+            else "exec.cells.failed"
+        ).inc()
+        sink.failure(cell, dataclasses.replace(failure, attempts=attempt))
+        return False
+
+    def _backoff(self, cell: _Cell, attempt: int) -> float:
+        return self.backoff.delay(f"{cell.sim_name}:{cell.workload}", attempt)
+
+    def _run_inline(self, cell: _Cell, sink: Settlement, instrumentation,
+                    progress=None) -> None:
+        """Run one cell in process through its retry budget.
+
+        No per-cell timeout applies here — there is no process to
+        terminate — but the in-run watchdog still catches livelocks.
+        """
+        attempt = 1
+        while True:
             if progress is not None:
                 progress(cell.sim_name, cell.workload)
-            started = time.perf_counter()
-            try:
-                result = harness.run_one(
-                    cell.factory, cell.workload,
-                    instrumentation=instrumentation,
-                )
-            except IntegrityError as exc:
-                if self.sanitizers.strict:
-                    raise
-                self._quarantine(
-                    cell, [exc.violation], failures, attempt,
-                    time.perf_counter() - started,
-                )
-                return None
-            except SimulationStuck as exc:
-                self._stuck_failure(
-                    cell, str(exc),
-                    {"instructions": exc.instructions,
-                     "retire": exc.retire,
-                     "state": exc.state},
-                    failures, attempt, time.perf_counter() - started,
-                )
-                return None
-            except Exception:
-                elapsed = time.perf_counter() - started
-                if attempt < attempts:
-                    self.metrics.counter("exec.cells.retried").inc()
-                    time.sleep(self.backoff.delay(
-                        f"{cell.sim_name}:{cell.workload}", attempt
-                    ))
-                    continue
-                failures[cell.index] = CellFailure(
-                    simulator=cell.sim_name,
-                    workload=cell.workload,
-                    kind="exception",
-                    message=traceback.format_exc(limit=20),
-                    attempts=attempt,
-                    elapsed_s=elapsed,
-                )
-                self.metrics.counter("exec.cells.failed").inc()
-                self._note_cell(
-                    cell.sim_name, cell.workload, "exception",
-                    attempts=attempt,
-                )
-                return None
-            else:
-                if harness.last_violations:
-                    self._quarantine(
-                        cell, harness.last_violations, failures,
-                        attempt, time.perf_counter() - started,
-                    )
-                    return None
-                self._record_success(
-                    cell, result, time.perf_counter() - started, attempt,
-                )
-                return result
-        return None  # pragma: no cover - loop always settles
+            outcome = self._measure(
+                cell.factory, cell.workload, instrumentation
+            )
+            if not self._settle(cell, outcome, attempt, sink):
+                return
+            time.sleep(self._backoff(cell, attempt))
+            attempt += 1
 
-    def run_cell(self, cell: _Cell, *, harness=None, instrumentation=None):
-        """Execute one prepared cell in-process and settle it.
+    def settle_cell(self, cell: _Cell, sink: Settlement, *,
+                    instrumentation=None) -> str:
+        """Settle one prepared cell into ``sink`` in process and return
+        where it came from (``"checkpoint"``, ``"cache"`` or ``"run"``).
 
         The shard runner's per-lease entry point (cells come from
-        :func:`grid_cells`).  Checkpoint and cache hits are served
-        without recompute — a re-granted lease over already-journaled
-        cells costs nothing — and fresh successes are recorded into
-        both before returning, so the caller may acknowledge the cell
-        as durable.
-
-        Returns ``(status, payload, source)`` where status is ``"ok"``
-        (payload is the :class:`SimResult`; source is ``"checkpoint"``,
-        ``"cache"`` or ``"run"``) or ``"failed"`` (payload is the
-        :class:`CellFailure`).
+        :func:`grid_cells`).  Journal and cache hits are served without
+        recompute — a re-granted lease over already-journaled cells
+        costs nothing — and fresh results are journaled and cached
+        before this returns, so the caller may acknowledge the cell as
+        durable.
         """
-        if cell.key is not None:
-            digest = cell.key.digest()
-            if self.checkpoint is not None:
-                hit = self.checkpoint.get(digest)
-                if hit is not None:
-                    self.metrics.counter("exec.checkpoint.resumed").inc()
-                    return ("ok", hit, "checkpoint")
-            if self.cache is not None and not self.refresh:
-                hit = self.cache.get(cell.key)
-                if hit is not None:
-                    return ("ok", hit, "cache")
-        failures: Dict[int, CellFailure] = {}
-        result = self._execute_cell(
-            harness if harness is not None else self._cell_harness(),
-            cell, instrumentation, failures,
-        )
-        if result is not None:
-            return ("ok", result, "run")
-        return ("failed", failures[cell.index], "run")
+        source = self._serve_hit(cell, sink)
+        if source is None:
+            self._run_inline(cell, sink, instrumentation)
+            source = "run"
+        return source
 
-    def _run_inprocess(self, to_run, results, failures,
-                       instrumentation, progress) -> None:
-        """Serial backend (``jobs=1``): same fault isolation, no fork.
+    # -- the pool ------------------------------------------------------------
 
-        Per-cell timeouts are not enforced here — there is no process
-        to terminate — but the in-run watchdog still catches livelocks.
-        """
-        harness = self._cell_harness()
-        for cell in to_run:
-            result = self._execute_cell(
-                harness, cell, instrumentation, failures, progress
-            )
-            if result is not None:
-                results[cell.index] = result
-
-    def _escalate_timeout(
-        self, attempt: _Attempt
-    ) -> Optional[Tuple[str, str, Dict]]:
+    def _escalate_timeout(self, attempt: _Attempt) -> Optional[CellFailure]:
         """Ask a wall-clock-expired worker for a diagnosis before the
         kill: forward SIGUSR1 (the worker's escalation handler raises
         :class:`SimulationStuck` wherever it is hung) and grant
-        ``escalation_grace_s`` for the resulting ``("stuck", ...)``
-        dump to arrive on the pipe.  Returns that dump, or ``None`` if
-        the worker could not be signalled or did not answer in time —
+        ``escalation_grace_s`` for the resulting ``"stuck"`` outcome
+        to arrive on the pipe.  Returns its failure, or ``None`` if the
+        worker could not be signalled or did not answer in time —
         either way the caller still terminates it."""
         if not hasattr(signal, "SIGUSR1"):  # pragma: no cover - non-POSIX
             return None
@@ -727,20 +594,22 @@ class ExperimentEngine:
         except (ProcessLookupError, OSError):
             return None
         try:
-            if not attempt.conn.poll(self.escalation_grace_s):
+            grace = max(0.0, self.options.escalation_grace_s)
+            if not attempt.conn.poll(grace):
                 return None
             dumped = attempt.conn.recv()
         except (EOFError, OSError):
             return None
-        if (isinstance(dumped, tuple) and len(dumped) == 3
-                and dumped[0] == "stuck"):
-            self.metrics.counter("exec.cells.escalated").inc()
-            return dumped
-        return None
+        failure = getattr(dumped, "failure", None)
+        if failure is None or failure.kind != "stuck":
+            return None
+        self.metrics.counter("exec.cells.escalated").inc()
+        return failure
 
-    def _run_pool(self, to_run, results, failures,
-                  instrumentation, progress) -> None:
+    def _run_pool(self, to_run, sink: Settlement, instrumentation,
+                  progress) -> None:
         """Process-pool backend: up to ``jobs`` forked workers."""
+        timeout = self.options.timeout
         pending = deque(to_run)
         #: Cells awaiting their backoff delay: (ready_at, cell).
         delayed: List[Tuple[float, _Cell]] = []
@@ -753,9 +622,7 @@ class ExperimentEngine:
             recv_end, send_end = self._ctx.Pipe(duplex=False)
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(send_end, cell.factory, cell.workload,
-                      self.workloads, instrumentation,
-                      self.sanitizers, self.options),
+                args=(send_end, self, cell, instrumentation),
                 daemon=True,
             )
             process.start()
@@ -767,31 +634,31 @@ class ExperimentEngine:
                 progress(cell.sim_name, cell.workload)
             self.metrics.counter("exec.cells.launched").inc()
 
-        def settle(attempt: _Attempt, kind: str, message: str,
-                   elapsed: float,
-                   snapshot: Optional[Dict] = None) -> None:
+        def settle(attempt: _Attempt, outcome: CellOutcome) -> None:
             cell = attempt.cell
-            if attempt.attempt <= self.retries:
-                self.metrics.counter("exec.cells.retried").inc()
-                delay = self.backoff.delay(
-                    f"{cell.sim_name}:{cell.workload}", attempt.attempt
+            if outcome.failure is None:
+                # The worker's registry died with the worker; mirror
+                # its telemetry into the parent's.
+                mirror_to_metrics(
+                    self.metrics, cell.sim_name, cell.workload,
+                    outcome.result.telemetry,
                 )
-                delayed.append((time.perf_counter() + delay, cell))
-                return
-            failures[cell.index] = CellFailure(
-                simulator=cell.sim_name,
-                workload=cell.workload,
-                kind=kind,
-                message=message,
-                attempts=attempt.attempt,
-                elapsed_s=elapsed,
+            if self._settle(cell, outcome, attempt.attempt, sink):
+                delayed.append((
+                    time.perf_counter() + self._backoff(cell, attempt.attempt),
+                    cell,
+                ))
+
+        def lost(attempt: _Attempt, kind: str, message: str,
+                 snapshot: Optional[Dict] = None) -> CellOutcome:
+            """The outcome of a worker that never reported one."""
+            return CellOutcome(failure=CellFailure(
+                simulator=attempt.cell.sim_name,
+                workload=attempt.cell.workload,
+                kind=kind, message=message,
+                elapsed_s=time.perf_counter() - attempt.started,
                 snapshot=snapshot,
-            )
-            self.metrics.counter("exec.cells.failed").inc()
-            self._note_cell(
-                cell.sim_name, cell.workload, kind,
-                attempts=attempt.attempt,
-            )
+            ))
 
         try:
             while pending or live or delayed:
@@ -819,9 +686,9 @@ class ExperimentEngine:
 
                 wait_for = None
                 now = time.perf_counter()
-                if self.timeout is not None:
+                if timeout is not None:
                     wait_for = max(0.0, min(
-                        attempt.started + self.timeout - now
+                        attempt.started + timeout - now
                         for attempt in live.values()
                     ))
                 if delayed:
@@ -836,60 +703,27 @@ class ExperimentEngine:
 
                 for conn in ready:
                     attempt = live.pop(conn)
-                    elapsed = time.perf_counter() - attempt.started
                     try:
                         message = conn.recv()
                     except (EOFError, OSError):
                         message = None
                     conn.close()
                     attempt.process.join()
-                    kind = (
-                        message[0]
-                        if isinstance(message, tuple) and message else None
-                    )
-                    if kind == "ok":
-                        results[attempt.cell.index] = message[1]
-                        # The worker's registry died with the worker;
-                        # mirror its telemetry into the parent's.
-                        mirror_to_metrics(
-                            self.metrics, attempt.cell.sim_name,
-                            attempt.cell.workload, message[1].telemetry,
-                        )
-                        self._record_success(
-                            attempt.cell, message[1], elapsed,
-                            attempt.attempt,
-                        )
-                    elif kind == "quarantined":
-                        self._quarantine(
-                            attempt.cell,
-                            [InvariantViolation.from_dict(v)
-                             for v in message[1]],
-                            failures, attempt.attempt, elapsed,
-                        )
-                    elif kind == "strict":
-                        raise IntegrityError(
-                            InvariantViolation.from_dict(message[1])
-                        )
-                    elif kind == "stuck":
-                        self._stuck_failure(
-                            attempt.cell, message[1], message[2],
-                            failures, attempt.attempt, elapsed,
-                        )
-                    elif kind == "error":
-                        settle(attempt, "exception", message[1], elapsed)
-                    else:
-                        settle(
+                    if isinstance(message, IntegrityError):
+                        raise message
+                    if not isinstance(message, CellOutcome):
+                        message = lost(
                             attempt, "crash",
                             f"worker exited with code "
                             f"{attempt.process.exitcode} before "
                             f"reporting a result",
-                            elapsed,
                         )
+                    settle(attempt, message)
 
-                if self.timeout is not None:
+                if timeout is not None:
                     now = time.perf_counter()
                     for conn, attempt in list(live.items()):
-                        if now - attempt.started < self.timeout:
+                        if now - attempt.started < timeout:
                             continue
                         live.pop(conn)
                         dumped = self._escalate_timeout(attempt)
@@ -897,21 +731,18 @@ class ExperimentEngine:
                         attempt.process.join()
                         conn.close()
                         message = (
-                            f"cell exceeded its {self.timeout:g}s "
+                            f"cell exceeded its {timeout:g}s "
                             f"timeout and was terminated"
                         )
-                        snapshot = None
                         if dumped is not None:
                             message += (
                                 f"; worker dumped a diagnosis on "
-                                f"SIGUSR1: {dumped[1]}"
+                                f"SIGUSR1: {dumped.message}"
                             )
-                            snapshot = dumped[2]
-                        settle(
+                        settle(attempt, lost(
                             attempt, "timeout", message,
-                            time.perf_counter() - attempt.started,
-                            snapshot,
-                        )
+                            dumped.snapshot if dumped is not None else None,
+                        ))
         finally:
             for attempt in live.values():
                 attempt.process.terminate()

@@ -8,9 +8,7 @@ private :class:`~repro.integrity.GridCheckpoint` shard journal, so a
 cell it completed survives the runner, the coordinator, or the host
 dying — the journal entry is fsynced before the cell is acknowledged.
 
-Wire protocol (first tuple element; extends the pool worker protocol
-of :func:`repro.exec.engine._worker_main` one level up, from cells to
-leases):
+Wire protocol (first tuple element):
 
 runner -> coordinator
     * ``("ready", runner_id, last_lease_id)`` — idle and asking for
@@ -59,6 +57,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.exec.engine import ExperimentEngine, grid_cells
 from repro.exec.spec import RunOptions
+from repro.integrity.sanitizers import IntegrityError
 from repro.integrity.watchdog import install_escalation_handler
 
 __all__ = ["Lease", "PipeTransport", "ShardRunner", "shard_journal_path"]
@@ -129,7 +128,9 @@ class PipeTransport(Transport):
 
 
 class ShardRunner:
-    """The runner half: executes leases against a private engine.
+    """The runner half: executes leases against a private engine,
+    which measures and settles each cell exactly as an in-process grid
+    run does.
 
     ``engine`` must carry the shard journal as its checkpoint (with
     resume semantics), so a re-granted lease serves journaled cells
@@ -154,7 +155,7 @@ class ShardRunner:
         self.instrumentation = instrumentation
         self.ready_resend_s = max(0.05, float(ready_resend_s))
         self._last_lease_id: Optional[int] = None
-        self._harness = engine._cell_harness()
+        self._sink = engine.settlement(len(self.cells))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -217,34 +218,30 @@ class ShardRunner:
                 return False
             cell = self.cells[index]
             try:
-                status, payload, source = self.engine.run_cell(
-                    cell, harness=self._harness,
-                    instrumentation=self.instrumentation,
+                source = self.engine.settle_cell(
+                    cell, self._sink, instrumentation=self.instrumentation,
                 )
-            except Exception as exc:
-                from repro.integrity.sanitizers import IntegrityError
-
-                if isinstance(exc, IntegrityError):
-                    self._send(
-                        ("strict", self.runner_id,
-                         exc.violation.to_dict())
-                    )
-                    return False
+            except IntegrityError as exc:  # a strict sanitizer bundle
+                self._send(
+                    ("strict", self.runner_id, exc.violation.to_dict())
+                )
+                return False
+            except Exception:
                 self._send(
                     ("error", self.runner_id,
                      traceback.format_exc(limit=20))
                 )
                 return False
-            if status == "ok":
-                digest = cell.key.digest() if cell.key is not None else ""
+            result = self._sink.results.pop(index, None)
+            if result is not None:
                 ok = self._send((
                     "cell_ok", self.runner_id, lease.lease_id, index,
-                    digest, payload, source,
+                    cell.key.digest(), result, source,
                 ))
             else:
                 ok = self._send((
                     "cell_failed", self.runner_id, lease.lease_id, index,
-                    payload.to_dict(),
+                    self._sink.failures.pop(index).to_dict(),
                 ))
             if not ok:
                 return False

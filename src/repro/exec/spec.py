@@ -34,9 +34,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "RunOptions",
@@ -44,7 +43,6 @@ __all__ = [
     "SpecError",
     "simulator_registry",
     "register_simulator",
-    "fold_legacy_kwargs",
 ]
 
 
@@ -193,8 +191,8 @@ class RunOptions:
 
     def trimmed(self) -> "RunOptions":
         """The :meth:`Harness.run_one` view: only the options that are
-        meaningful for a single in-process cell (sanitize, strict,
-        watchdog_s, blockcache); everything else reset to defaults."""
+        meaningful for a single cell (sanitize, strict, watchdog_s,
+        blockcache, dram_backend); everything else reset to defaults."""
         return RunOptions(**{
             name: getattr(self, name)
             for name in self._SINGLE_CELL_FIELDS
@@ -484,41 +482,3 @@ class ExperimentSpec:
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:32]
 
-
-# ----------------------------------------------------------------------
-# The legacy-kwarg shim
-# ----------------------------------------------------------------------
-
-def fold_legacy_kwargs(
-    options: Optional[RunOptions],
-    legacy: Dict,
-    *,
-    allowed: Sequence[str],
-    owner: str,
-    stacklevel: int = 3,
-) -> RunOptions:
-    """Fold deprecated keyword arguments into a :class:`RunOptions`.
-
-    Emits one :class:`DeprecationWarning` per call naming every legacy
-    keyword used and the replacement, then applies them over
-    ``options`` (explicit legacy values win, matching the historical
-    behaviour).  Unknown keywords raise ``TypeError`` exactly like a
-    misspelled keyword argument always has.
-    """
-    base = options if options is not None else RunOptions()
-    if not legacy:
-        return base
-    unknown = sorted(set(legacy) - set(allowed))
-    if unknown:
-        raise TypeError(
-            f"{owner} got unexpected keyword argument(s) {unknown}"
-        )
-    warnings.warn(
-        f"passing {sorted(legacy)} to {owner} as keyword arguments is "
-        f"deprecated; pass options=RunOptions("
-        + ", ".join(f"{k}=..." for k in sorted(legacy))
-        + ") instead (from repro.exec.spec import RunOptions)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return base.replace(**legacy)

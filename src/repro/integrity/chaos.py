@@ -415,9 +415,12 @@ def _scenario_message_drop(workloads: WorkloadSet) -> ChaosOutcome:
     chaotic: List[ChaosTransport] = []
 
     def wrapper(transport, runner_id):
-        if runner_id % 2 == 0:
-            transport = ChaosTransport(transport, drop_every=3)
-            chaotic.append(transport)
+        # Every runner's transport drops: whichever runner commits a
+        # cell has received at least its ready, a heartbeat and the
+        # cell_ok, so a third message is always dropped, however the
+        # leases happen to spread.
+        transport = ChaosTransport(transport, drop_every=3)
+        chaotic.append(transport)
         return transport
 
     def checks(counters):

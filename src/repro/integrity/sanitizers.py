@@ -133,6 +133,10 @@ class IntegrityError(RuntimeError):
         super().__init__(str(violation))
         self.violation = violation
 
+    def __reduce__(self):
+        # Pickles whole, so a pool worker can ship it to its parent.
+        return type(self), (self.violation,)
+
 
 def _finite(value: float) -> bool:
     try:

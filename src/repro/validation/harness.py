@@ -6,12 +6,13 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
-import os
+import time
+import traceback
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.exec.spec import RunOptions, fold_legacy_kwargs
+from repro.exec.spec import RunOptions
 from repro.integrity.sanitizers import (
     IntegrityError,
     InvariantViolation,
@@ -21,34 +22,23 @@ from repro.integrity.watchdog import SimulationStuck, Watchdog
 from repro.obs.observer import Instrumentation, RunObserver
 from repro.obs.provenance import capture_provenance
 from repro.obs.registry import MetricsRegistry
-from repro.obs.telemetry import (
-    GridProgress,
-    RunLedger,
-    TelemetryProbe,
-    mirror_to_metrics,
-)
-from repro.result import SimResult, VOLATILE_PROVENANCE_FIELDS
+from repro.obs.telemetry import TelemetryProbe, mirror_to_metrics
+from repro.result import SimResult
 from repro.workloads.suite import WorkloadSet
 
 __all__ = [
     "SimulatorFactory",
     "CellFailure",
+    "CellOutcome",
     "ResultGrid",
     "Harness",
     "quarantine_failure",
+    "run_cell",
 ]
 
 #: A factory producing a *fresh* simulator per run (predictor and cache
 #: state must not leak between workloads).
 SimulatorFactory = Callable[[], object]
-
-#: Backwards-compatible alias; the canonical list lives in
-#: :mod:`repro.result` so checkpoint merges share it.
-_VOLATILE_PROVENANCE_FIELDS = VOLATILE_PROVENANCE_FIELDS
-
-#: Distinguishes "not passed" from an explicit ``None`` (a ``None``
-#: watchdog/blockcache override is meaningful: disarmed / default).
-_UNSET = object()
 
 
 def _with_dram_backend(
@@ -93,25 +83,26 @@ class CellFailure:
     """Structured record of one (simulator, workload) cell that could
     not produce a result.
 
-    Produced by the parallel execution engine
-    (:mod:`repro.exec.engine`): a cell that raises, crashes its worker
-    process, or exceeds its timeout is recorded here — after exhausting
-    its retry budget — instead of aborting the rest of the grid.  The
-    integrity layer adds two kinds: ``"invariant"`` for results
-    quarantined by the sanitizers (the violated invariant and its state
-    snapshot land in ``snapshot``) and ``"stuck"`` for detected
-    livelocks.
+    Every execution mode records a failing cell here, after its retry
+    budget, instead of aborting the rest of the grid: ``"exception"``
+    for a cell that raised, ``"invariant"`` for a result quarantined by
+    the sanitizers (the violated invariants land in ``snapshot``),
+    ``"stuck"`` for a detected livelock, and the failures only an
+    executor can see — ``"crash"`` (a pool worker died),
+    ``"timeout"`` (a pool worker exceeded its budget) and ``"lost"``
+    (no shard runner survived to run the cell).
     """
 
     simulator: str
     workload: str
-    #: One of ``"exception"``, ``"crash"``, ``"timeout"``,
-    #: ``"invariant"``, ``"stuck"``.
+    #: One of ``"exception"``, ``"invariant"``, ``"stuck"``,
+    #: ``"crash"``, ``"timeout"``, ``"lost"``.
     kind: str
     message: str = ""
     #: Total attempts made (1 + retries).
     attempts: int = 1
-    #: Wall-clock seconds spent on the final attempt.
+    #: Wall-clock seconds spent on the final attempt (host time:
+    #: blanked by ``ResultGrid.to_json(canonical=True)``).
     elapsed_s: float = 0.0
     #: Diagnostic state captured at failure time (for ``"invariant"``
     #: kinds, the violation records under a ``"violations"`` key).
@@ -136,8 +127,7 @@ class ResultGrid:
     """Results indexed by (simulator name, workload name)."""
 
     results: Dict[str, Dict[str, SimResult]] = field(default_factory=dict)
-    #: Cells that failed under the parallel engine (empty for serial
-    #: runs, which propagate exceptions instead).
+    #: Cells that could not produce a result, in serial grid order.
     failures: List[CellFailure] = field(default_factory=list)
 
     def add(self, result: SimResult, *, replace: bool = False) -> None:
@@ -202,27 +192,29 @@ class ResultGrid:
         provenance, failure records included) for persistence and
         cross-run diffing.
 
-        ``canonical=True`` blanks the provenance fields that vary from
-        run to run on identical measurements (``created``, ``host``,
-        ``platform``, ``python``), so two runs of the same
-        configurations serialise byte-identically iff they measured the
-        same thing — the form the determinism tests and cross-run diffs
-        compare.
+        ``canonical=True`` blanks everything that varies from run to
+        run on identical measurements — the volatile provenance fields
+        (``created``, ``host``, ``platform``, ``python``), the resource
+        telemetry, and each failure's ``elapsed_s`` — so two runs of
+        the same configurations serialise byte-identically iff they
+        measured the same thing, in any execution mode: the form the
+        determinism tests and cross-run diffs compare.
         """
         entries = []
         for per_sim in self.results.values():
             for result in per_sim.values():
-                # canonical_dict blanks volatile provenance and the
-                # resource telemetry (wall time, RSS, pids): identical
-                # measurements must serialise byte-identically.
                 entries.append(
                     result.canonical_dict() if canonical
                     else result.to_dict()
                 )
+        failures = [f.to_dict() for f in self.failures]
+        if canonical:
+            for failure in failures:
+                failure["elapsed_s"] = None
         payload = {
             "format": "repro-result-grid/1",
             "results": entries,
-            "failures": [f.to_dict() for f in self.failures],
+            "failures": failures,
         }
         return json.dumps(payload, indent=indent, sort_keys=True)
 
@@ -269,11 +261,6 @@ def _signature_params(run_trace: Callable) -> frozenset:
     return params
 
 
-def _accepts_observer(run_trace: Callable) -> bool:
-    """Whether a simulator's ``run_trace`` takes the observer hook."""
-    return "observer" in _signature_params(run_trace)
-
-
 def quarantine_failure(
     violations: Sequence[InvariantViolation],
     *,
@@ -283,8 +270,7 @@ def quarantine_failure(
     elapsed_s: float = 0.0,
 ) -> CellFailure:
     """Build the ``kind="invariant"`` :class:`CellFailure` recording a
-    quarantined result (shared by the harness and the execution
-    engine)."""
+    quarantined result."""
     first = violations[0] if violations else None
     return CellFailure(
         simulator=(first.simulator if first else "") or simulator,
@@ -297,37 +283,172 @@ def quarantine_failure(
     )
 
 
+@dataclass
+class CellOutcome:
+    """What measuring one cell produced (see :func:`run_cell`)."""
+
+    #: The measured result.  A quarantined cell keeps it (for
+    #: :meth:`Harness.run_one`); executors only grid clean results.
+    result: Optional[SimResult] = None
+    #: Why the cell failed; ``None`` for a clean result.
+    failure: Optional[CellFailure] = None
+    #: What the cell raised, for :meth:`unwrap`.  Stays in the
+    #: measuring process: it is dropped when the outcome is pickled.
+    error: Optional[BaseException] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> Dict:
+        return {**self.__dict__, "error": None}
+
+    def unwrap(self) -> SimResult:
+        """The result, or re-raise what the cell raised."""
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+def _timed_run(simulator, trace, workload: str, options: RunOptions,
+               sanitizer, instrumentation, metrics) -> SimResult:
+    """Time one simulator on one trace with the options' hooks wired
+    into the ``run_trace`` keywords the simulator accepts."""
+    name = simulator.name
+    run_trace = simulator.run_trace
+    params = _signature_params(run_trace)
+    kwargs = {}
+    if "observer" in params:
+        observer = None
+        if instrumentation is not None and instrumentation.enabled:
+            observer = instrumentation.observer(
+                simulator=name, workload=workload
+            )
+        if sanitizer is not None:
+            # Ride the engine's observer hook (sharing the
+            # instrumentation observer when there is one).
+            if observer is None:
+                observer = RunObserver(
+                    sanitizer=sanitizer, simulator=name, workload=workload,
+                )
+            else:
+                observer.sanitizer = sanitizer
+        if observer is not None:
+            kwargs["observer"] = observer
+    if options.watchdog_s is not None and "watchdog" in params:
+        kwargs["watchdog"] = Watchdog(options.watchdog_s)
+    if options.blockcache is not None and "blockcache" in params:
+        kwargs["blockcache"] = options.blockcache
+    probe = TelemetryProbe()
+    with metrics.timer(f"harness.cell.{name}.{workload}").time():
+        result = run_trace(trace, workload, **kwargs)
+    if result.telemetry is None:
+        result.telemetry = probe.finish(result.instructions)
+    mirror_to_metrics(metrics, name, workload, result.telemetry)
+    metrics.counter("harness.runs").inc()
+    if result.provenance is None:
+        result.provenance = capture_provenance(
+            getattr(simulator, "config", None), name=name,
+        )
+    return result
+
+
+def run_cell(
+    factory: SimulatorFactory,
+    workload: str,
+    trace,
+    *,
+    options: RunOptions,
+    sanitizers: Sanitizers,
+    instrumentation: Optional[Instrumentation] = None,
+    metrics: Optional[MetricsRegistry] = None,
+) -> CellOutcome:
+    """Measure one (simulator, workload) cell and classify how it ended.
+
+    The one cell path: :meth:`Harness.run_one`, the engine's in-process
+    loop, its forked pool workers and the shard runners all measure
+    cells here, so a cell ends the same way however it is scheduled.
+    A fresh simulator from ``factory`` (under ``options.dram_backend``)
+    runs ``trace`` with the instrumentation observer, a sanitizer from
+    ``sanitizers``, the ``options.watchdog_s`` livelock watchdog and
+    ``options.blockcache`` wired in; the result gets telemetry and
+    provenance and is audited.
+
+    The outcome holds the result, or a :class:`CellFailure`:
+    ``"invariant"`` for an :class:`IntegrityError` or a violating
+    audit, ``"stuck"`` for :class:`SimulationStuck`, ``"exception"``
+    for anything else the simulator raised.  A strict sanitizer bundle
+    raises :class:`IntegrityError` instead.
+    """
+    if options.dram_backend is not None:
+        factory = _with_dram_backend(factory, options.dram_backend)
+    if metrics is None:
+        metrics = MetricsRegistry.disabled()
+    name = ""
+    result = failure = error = sanitizer = None
+    started = time.perf_counter()
+    try:
+        simulator = factory()
+        name = simulator.name
+        sanitizer = sanitizers.run_sanitizer(
+            simulator=name, workload=workload
+        )
+        result = _timed_run(
+            simulator, trace, workload, options, sanitizer,
+            instrumentation, metrics,
+        )
+        if sanitizer is not None:
+            sanitizer.audit_result(result, expected_instructions=len(trace))
+    except IntegrityError as exc:
+        if sanitizers.strict:
+            raise
+        failure, error = quarantine_failure(
+            [exc.violation], simulator=name, workload=workload,
+        ), exc
+    except SimulationStuck as exc:
+        failure, error = CellFailure(
+            simulator=name, workload=workload, kind="stuck",
+            message=str(exc),
+            snapshot={
+                "detail": exc.detail, "instructions": exc.instructions,
+                "retire": exc.retire, "state": exc.state,
+            },
+        ), exc
+    except Exception as exc:
+        failure, error = CellFailure(
+            simulator=name, workload=workload, kind="exception",
+            message=traceback.format_exc(limit=20),
+        ), exc
+    else:
+        if sanitizer is not None and sanitizer.violations:
+            failure = quarantine_failure(
+                sanitizer.violations, simulator=name, workload=workload,
+            )
+    if failure is not None:
+        failure = dataclasses.replace(
+            failure, elapsed_s=time.perf_counter() - started
+        )
+    return CellOutcome(result, failure, error)
+
+
 class Harness:
     """Runs (simulator x workload) grids with cached traces.
 
-    ``metrics`` (a :class:`repro.obs.MetricsRegistry`) makes the
-    harness record per-cell wall times and run counts; it is shared by
-    every grid this harness runs.  ``instrumentation`` passed to the
-    run methods additionally threads pipeline observers (CPI stacks,
-    tracing) through simulators that support them.
+    ``options`` (a :class:`RunOptions`) are the harness-level execution
+    defaults; options passed to :meth:`run_grid` or :meth:`run_one`
+    merge over them.  ``metrics`` (a :class:`repro.obs.MetricsRegistry`)
+    makes the harness record per-cell wall times and run counts; it is
+    shared by every grid this harness runs.  ``instrumentation`` passed
+    to the run methods additionally threads pipeline observers (CPI
+    stacks, tracing) through simulators that support them.
 
-    ``sanitizers`` (a :class:`repro.integrity.Sanitizers`, disabled by
+    ``sanitizers`` (a :class:`repro.integrity.Sanitizers`; otherwise
+    built from the options' ``sanitize``/``strict`` flags, disabled by
     default) arms the invariant checkers: every cell is audited, and
     in grid runs a violating result is *quarantined* — recorded as a
     ``kind="invariant"`` :class:`CellFailure` instead of entering the
     grid (strict bundles raise :class:`IntegrityError` instead).
-    ``watchdog_s`` arms a per-cell livelock watchdog with that stall
-    budget (seconds) on simulators that accept one.  Failures from
-    every grid this harness runs accumulate on ``failed_cells``, which
-    is what the CLI's exit status reports.
+    Failures from every grid this harness runs accumulate on
+    ``failed_cells``, which is what the CLI's exit status reports.
     """
-
-    #: Keywords the pre-RunOptions constructor accepted; still folded
-    #: in (with a DeprecationWarning) so old callers keep working.
-    _LEGACY_INIT = (
-        "watchdog_s", "checkpoint", "resume", "ledger", "live_progress",
-        "blockcache", "shards",
-    )
-    #: The historical ``run_grid`` keyword surface, now RunOptions.
-    _LEGACY_RUN_GRID = (
-        "jobs", "cache", "timeout", "retries", "checkpoint", "resume",
-        "ledger", "live_progress", "shards",
-    )
 
     def __init__(
         self,
@@ -336,124 +457,20 @@ class Harness:
         *,
         metrics: Optional[MetricsRegistry] = None,
         sanitizers: Optional[Sanitizers] = None,
-        **legacy,
     ):
-        #: Harness-level execution defaults; per-call options merge
-        #: over these (see :meth:`run_grid`).
-        self.options = fold_legacy_kwargs(
-            options, legacy, allowed=self._LEGACY_INIT, owner="Harness()",
-        )
+        self.options = options if options is not None else RunOptions()
         self.workloads = workloads or WorkloadSet()
-        #: Trace-compilation control forwarded to simulators whose
-        #: ``run_trace`` accepts it: ``None`` leaves each simulator's
-        #: own default (enabled), ``False`` forces the pure detailed
-        #: loop (the CLI's ``--no-blockcache``), ``True`` or a
-        #: :class:`repro.core.blockcache.BlockCacheConfig` forces it on.
-        self.blockcache = self.options.blockcache
         self.metrics = metrics if metrics is not None else (
             MetricsRegistry.disabled()
         )
         self.sanitizers = sanitizers if sanitizers is not None else (
             self.options.sanitizer_bundle() or Sanitizers.disabled()
         )
-        self.watchdog_s = self.options.watchdog_s
-        #: Views over :attr:`options`, kept for callers that still read
-        #: the old attributes.
-        self.checkpoint = self.options.checkpoint
-        self.resume = self.options.resume
-        self.ledger = self.options.ledger
-        self.live_progress = self.options.live_progress
-        self.shards = max(1, int(self.options.shards))
-        #: Violations found by the most recent cell (empty when the
-        #: sanitizers are disabled or the cell was clean).
-        self.last_violations: List[InvariantViolation] = []
         #: Every failed/quarantined cell across all grids this harness
         #: has run (the CLI exit-status source).
         self.failed_cells: List[CellFailure] = []
 
-    def _run_cell(
-        self,
-        simulator,
-        trace,
-        workload: str,
-        instrumentation: Optional[Instrumentation],
-        *,
-        sanitizers: Optional[Sanitizers] = None,
-        watchdog_s=_UNSET,
-        blockcache=_UNSET,
-    ) -> SimResult:
-        """Time one (simulator, workload) cell, instrumented.
-
-        The keyword overrides let a caller carry per-call
-        :class:`RunOptions` without mutating harness state (the job
-        service runs grids from worker threads); unset, the harness's
-        own settings apply.
-        """
-        sanitizer_bundle = (
-            sanitizers if sanitizers is not None else self.sanitizers
-        )
-        watchdog_budget = (
-            self.watchdog_s if watchdog_s is _UNSET else watchdog_s
-        )
-        blockcache_mode = (
-            self.blockcache if blockcache is _UNSET else blockcache
-        )
-        observer = None
-        run_trace = simulator.run_trace
-        params = _signature_params(run_trace)
-        if instrumentation is not None and instrumentation.enabled \
-                and "observer" in params:
-            observer = instrumentation.observer(
-                simulator=simulator.name, workload=workload
-            )
-        sanitizer = None
-        if sanitizer_bundle.enabled:
-            sanitizer = sanitizer_bundle.run_sanitizer(
-                simulator=simulator.name, workload=workload
-            )
-            if "observer" in params:
-                # Ride the engine's observer hook (sharing the
-                # instrumentation observer when there is one).
-                if observer is None:
-                    observer = RunObserver(
-                        sanitizer=sanitizer,
-                        simulator=simulator.name, workload=workload,
-                    )
-                else:
-                    observer.sanitizer = sanitizer
-        kwargs = {}
-        if observer is not None:
-            kwargs["observer"] = observer
-        if watchdog_budget is not None and "watchdog" in params:
-            kwargs["watchdog"] = Watchdog(watchdog_budget)
-        if blockcache_mode is not None and "blockcache" in params:
-            kwargs["blockcache"] = blockcache_mode
-        timer = self.metrics.timer(f"harness.cell.{simulator.name}.{workload}")
-        probe = TelemetryProbe()
-        with timer.time():
-            result = run_trace(trace, workload, **kwargs)
-        if result.telemetry is None:
-            result.telemetry = probe.finish(result.instructions)
-        mirror_to_metrics(
-            self.metrics, simulator.name, workload, result.telemetry
-        )
-        self.metrics.counter("harness.runs").inc()
-        if result.provenance is None:
-            result.provenance = capture_provenance(
-                getattr(simulator, "config", None),
-                name=getattr(simulator, "name", ""),
-            )
-        if sanitizer is not None:
-            sanitizer.audit_result(
-                result, expected_instructions=len(trace)
-            )
-            self.last_violations = list(sanitizer.violations)
-        else:
-            self.last_violations = []
-        return result
-
-
-    def _effective_sanitizers(self, options: RunOptions) -> Sanitizers:
+    def _sanitizers_for(self, options: RunOptions) -> Sanitizers:
         """The sanitizer bundle one run should use: an explicitly
         attached live bundle wins, else whatever ``options`` ask for."""
         if self.sanitizers.enabled:
@@ -470,26 +487,18 @@ class Harness:
     ) -> SimResult:
         """Run one simulator (fresh instance) on one workload.
 
-        ``options`` applies the single-cell view of a
-        :class:`RunOptions` (sanitize/strict, watchdog_s, blockcache,
-        dram_backend — see :meth:`RunOptions.trimmed`) for this call
-        only, merged over the harness-level defaults.
+        ``options`` merges over the harness-level options for this call
+        only; the single-cell view applies (see
+        :meth:`RunOptions.trimmed`).  Returns the result and raises
+        whatever the cell raised; a result the sanitizers would
+        quarantine is still returned.
         """
-        trace = self.workloads.trace(workload)
-        if options is None:
-            return self._run_cell(
-                factory(), trace, workload, instrumentation
-            )
-        opts = options.merged_over(self.options).trimmed()
-        if opts.dram_backend is not None:
-            factory = _with_dram_backend(factory, opts.dram_backend)
-        simulator = factory()
-        return self._run_cell(
-            simulator, trace, workload, instrumentation,
-            sanitizers=self._effective_sanitizers(opts),
-            watchdog_s=opts.watchdog_s,
-            blockcache=opts.blockcache,
-        )
+        opts = (options or RunOptions()).merged_over(self.options).trimmed()
+        return run_cell(
+            factory, workload, self.workloads.trace(workload),
+            options=opts, sanitizers=self._sanitizers_for(opts),
+            instrumentation=instrumentation, metrics=self.metrics,
+        ).unwrap()
 
     def run_grid(
         self,
@@ -499,7 +508,6 @@ class Harness:
         *,
         progress: Optional[Callable[[str, str], None]] = None,
         instrumentation: Optional[Instrumentation] = None,
-        **legacy,
     ) -> ResultGrid:
         """Run every factory over every workload.
 
@@ -507,152 +515,32 @@ class Harness:
         every execution knob — jobs, cache, timeout, retries,
         checkpoint/resume, ledger, live_progress, shards, sanitize,
         watchdog_s, blockcache, dram_backend — merged over the
-        harness-level options
-        (a field left at its default inherits the harness's value).
-        The historical keyword arguments (``jobs=``, ``cache=``, ...)
-        still work through a deprecation shim that folds them into the
-        options object and warns once per call.
+        harness-level options (a field left at its default inherits the
+        harness's value).  ``shards > 1`` runs the grid on the
+        crash-safe work-stealing
+        :class:`~repro.exec.coordinator.ShardCoordinator`; anything
+        else on the :class:`~repro.exec.engine.ExperimentEngine` (in
+        process at ``jobs=1``, over forked workers above).  Either way
+        each cell is measured by :func:`run_cell`, so a failing cell
+        becomes the same :class:`CellFailure` in every mode, and strict
+        sanitizer bundles raise :class:`IntegrityError`.
 
         ``progress(simulator, workload)`` is called before each cell;
-        with a metrics registry attached, each cell's wall time is also
-        recorded under ``harness.cell.<simulator>.<workload>``.
-
-        Execution backend, chosen from the merged options:
-
-        * ``shards > 1`` routes the grid through the crash-safe
-          work-stealing :class:`~repro.exec.coordinator.
-          ShardCoordinator` (runner loss recovered from fsynced shard
-          journals; results byte-identical to the serial path);
-        * ``jobs > 1``, a ``cache``, or a ``checkpoint`` delegates to
-          the execution engine (:mod:`repro.exec.engine`), which also
-          honours the per-cell ``timeout`` and ``retries`` budget and
-          records failed cells as :class:`CellFailure` entries;
-        * otherwise the in-process serial path runs, where a failing
-          cell raises — except for integrity quarantines and detected
-          livelocks, which are isolated per cell in every mode.
-
-        ``ledger`` (a :class:`~repro.obs.telemetry.RunLedger` or JSONL
-        path) appends one per-cell telemetry record per settled cell;
-        ``live_progress=True`` renders a live
-        ``cells done/total, cells/s, ETA`` line on stderr.  Both work
-        in every execution mode.
+        with a metrics registry attached, each in-process cell's wall
+        time is also recorded under
+        ``harness.cell.<simulator>.<workload>``.
         """
-        names = list(workload_names)
-        opts = fold_legacy_kwargs(
-            options, legacy, allowed=self._LEGACY_RUN_GRID,
-            owner="Harness.run_grid()",
-        ).merged_over(self.options)
-        if opts.dram_backend is not None:
-            # Wrapping here covers every execution backend below (the
-            # shard coordinator and engine fork, so closures survive).
-            factories = [
-                _with_dram_backend(factory, opts.dram_backend)
-                for factory in factories
-            ]
-        sanitizers = self._effective_sanitizers(opts)
+        opts = (options or RunOptions()).merged_over(self.options)
         if opts.shards > 1:
-            from repro.exec.coordinator import ShardCoordinator
-
-            coordinator = ShardCoordinator(
-                self.workloads, opts,
-                metrics=self.metrics, sanitizers=sanitizers,
-            )
-            grid = coordinator.run_grid(
-                factories, names,
-                instrumentation=instrumentation, progress=progress,
-            )
-            self.failed_cells.extend(grid.failures)
-            return grid
-        if (opts.jobs > 1 or opts.cache is not None
-                or opts.checkpoint is not None):
-            from repro.exec.engine import ExperimentEngine
-
-            engine = ExperimentEngine(
-                self.workloads, opts,
-                metrics=self.metrics, sanitizers=sanitizers,
-            )
-            grid = engine.run_grid(
-                factories, names,
-                instrumentation=instrumentation, progress=progress,
-            )
-            self.failed_cells.extend(grid.failures)
-            return grid
-        ledger = opts.ledger
-        owns_ledger = isinstance(ledger, (str, os.PathLike))
-        if owns_ledger:
-            ledger = RunLedger(ledger)
-        progress_line = (
-            GridProgress(len(names) * len(factories))
-            if opts.live_progress else None
+            from repro.exec.coordinator import ShardCoordinator as executor
+        else:
+            from repro.exec.engine import ExperimentEngine as executor
+        grid = executor(
+            self.workloads, opts,
+            metrics=self.metrics, sanitizers=self._sanitizers_for(opts),
+        ).run_grid(
+            factories, workload_names,
+            instrumentation=instrumentation, progress=progress,
         )
-
-        def note(simulator: str, workload: str, status: str,
-                 telemetry=None) -> None:
-            if ledger is not None:
-                ledger.record(
-                    simulator=simulator, workload=workload,
-                    status=status, telemetry=telemetry,
-                )
-            if progress_line is not None:
-                progress_line.update()
-
-        grid = ResultGrid()
-        try:
-            for name in names:
-                trace = self.workloads.trace(name)
-                for factory in factories:
-                    simulator = factory()
-                    if progress is not None:
-                        progress(simulator.name, name)
-                    try:
-                        result = self._run_cell(
-                            simulator, trace, name, instrumentation,
-                            sanitizers=sanitizers,
-                            watchdog_s=opts.watchdog_s,
-                            blockcache=opts.blockcache,
-                        )
-                    except IntegrityError as exc:
-                        # Fatal violation mid-run: quarantine the cell
-                        # (strict bundles never get here — the
-                        # sanitizer's raise propagates before the
-                        # result exists).
-                        if sanitizers.strict:
-                            raise
-                        grid.failures.append(quarantine_failure(
-                            [exc.violation],
-                            simulator=simulator.name, workload=name,
-                        ))
-                        note(simulator.name, name, "invariant")
-                    except SimulationStuck as exc:
-                        grid.failures.append(CellFailure(
-                            simulator=simulator.name,
-                            workload=name,
-                            kind="stuck",
-                            message=str(exc),
-                            snapshot={
-                                "instructions": exc.instructions,
-                                "retire": exc.retire,
-                                "state": exc.state,
-                            },
-                        ))
-                        note(simulator.name, name, "stuck")
-                    else:
-                        if self.last_violations:
-                            grid.failures.append(quarantine_failure(
-                                self.last_violations,
-                                simulator=simulator.name, workload=name,
-                            ))
-                            note(simulator.name, name, "invariant")
-                        else:
-                            grid.add(result)
-                            note(
-                                simulator.name, name, "ok",
-                                telemetry=result.telemetry,
-                            )
-        finally:
-            if progress_line is not None:
-                progress_line.close()
-            if owns_ledger:
-                ledger.close()
         self.failed_cells.extend(grid.failures)
         return grid

@@ -13,12 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.spec import (
-    ExperimentSpec,
-    RunOptions,
-    SpecError,
-    fold_legacy_kwargs,
-)
+from repro.exec.spec import ExperimentSpec, RunOptions, SpecError
 
 # -- strategies ------------------------------------------------------------
 
@@ -191,32 +186,3 @@ def test_trimmed_keeps_only_single_cell_options():
     assert single.jobs == 1 and single.shards == 1
     assert single.cache is None
 
-
-# -- the legacy shim -------------------------------------------------------
-
-def test_fold_legacy_kwargs_warns_once_and_applies():
-    with pytest.warns(DeprecationWarning, match="jobs") as caught:
-        folded = fold_legacy_kwargs(
-            RunOptions(retries=1), {"jobs": 4, "refresh": True},
-            allowed=("jobs", "refresh"), owner="run_grid",
-        )
-    assert len(caught) == 1
-    assert folded.jobs == 4 and folded.refresh and folded.retries == 1
-
-
-def test_fold_legacy_kwargs_unknown_keyword_is_type_error():
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        fold_legacy_kwargs(
-            None, {"n_jobs": 4}, allowed=("jobs",), owner="run_grid",
-        )
-
-
-def test_fold_legacy_kwargs_no_legacy_is_silent():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        folded = fold_legacy_kwargs(
-            None, {}, allowed=("jobs",), owner="run_grid",
-        )
-    assert folded == RunOptions()

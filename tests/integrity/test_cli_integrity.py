@@ -69,9 +69,9 @@ class TestFlagValidation:
             harness = engine["harness"]
             seen["enabled"] = harness.sanitizers.enabled
             seen["strict"] = harness.sanitizers.strict
-            seen["watchdog_s"] = harness.watchdog_s
-            seen["checkpoint"] = harness.checkpoint
-            seen["resume"] = harness.resume
+            seen["watchdog_s"] = harness.options.watchdog_s
+            seen["checkpoint"] = harness.options.checkpoint
+            seen["resume"] = harness.options.resume
             return "stub"
 
         monkeypatch.setitem(cli._EXPERIMENTS, "table2", spy)
@@ -92,7 +92,7 @@ class TestFlagValidation:
         def spy(quick, engine):
             harness = engine["harness"]
             seen["enabled"] = harness.sanitizers.enabled
-            seen["watchdog_s"] = harness.watchdog_s
+            seen["watchdog_s"] = harness.options.watchdog_s
             return "stub"
 
         monkeypatch.setitem(cli._EXPERIMENTS, "table2", spy)
