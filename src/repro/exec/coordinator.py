@@ -74,6 +74,15 @@ from repro.workloads.suite import WorkloadSet
 
 __all__ = ["ShardCoordinator", "shard_status"]
 
+#: Cells per lease: small leases steal best.
+LEASE_SIZE = 1
+#: Deadline extensions one lease may earn through heartbeats; an
+#: exhausted lease expires even if its runner is still heartbeating,
+#: so a livelocked runner cannot hold work forever.
+MAX_RENEWALS = 8
+#: Longest wait for runner traffic, so lease expiry always runs.
+HEARTBEAT_POLL_S = 0.2
+
 
 @dataclass
 class _LeaseState:
@@ -122,20 +131,14 @@ class ShardCoordinator:
         lease pull pool), ``cache``, ``retries``,
         ``checkpoint``/``resume``, ``ledger``, ``live_progress``, and
         the single-cell options every runner measures cells under.
-        The fabric-tuning knobs below stay first-class keywords — they
-        describe the coordinator, not the experiment.
-    lease_size:
-        Cells per lease.  Small leases steal better; large leases
-        amortise message traffic.
+        The two fabric budgets below stay keywords — they describe the
+        coordinator, not the experiment; the lease size, renewal bound
+        and poll interval are the module constants :data:`LEASE_SIZE`,
+        :data:`MAX_RENEWALS` and :data:`HEARTBEAT_POLL_S`.
     lease_timeout_s:
         Seconds a lease may go without a heartbeat before it expires
         and its runner is presumed lost.  Must comfortably exceed the
         slowest single cell.
-    max_renewals:
-        Bound on deadline extensions one lease may earn through
-        heartbeats (default scales with ``lease_size``); an exhausted
-        lease expires even if its runner is still heartbeating, so a
-        livelocked runner cannot hold work forever.
     max_respawns:
         Total replacement runners the coordinator may spawn across the
         run (default ``2 * shards``).  With the budget exhausted and no
@@ -145,9 +148,9 @@ class ShardCoordinator:
         Base journal path (or a :class:`GridCheckpoint`, whose path is
         used).  Runner ``k`` journals to ``<base>.shard-<k>``; on
         completion the shard journals are merged into ``<base>``.
-        ``None`` uses a private temporary directory (still crash-safe
-        against runner loss, but not resumable across coordinator
-        restarts).
+        ``None`` uses a private temporary directory, removed however
+        the run ends (still crash-safe against runner loss, but not
+        resumable across coordinator restarts).
     resume:
         Load ``<base>`` plus any surviving ``<base>.shard-*`` journals
         and commit their cells before leasing anything — the
@@ -168,12 +171,8 @@ class ShardCoordinator:
         workloads: Optional[WorkloadSet] = None,
         options: Optional[RunOptions] = None,
         *,
-        lease_size: int = 1,
         lease_timeout_s: float = 30.0,
-        max_renewals: Optional[int] = None,
         max_respawns: Optional[int] = None,
-        heartbeat_poll_s: float = 0.2,
-        ready_resend_s: float = 1.0,
         metrics: Optional[MetricsRegistry] = None,
         sanitizers: Optional[Sanitizers] = None,
         backoff: Optional[RetryBackoff] = None,
@@ -184,22 +183,15 @@ class ShardCoordinator:
         self.options = opts
         self.workloads = workloads or WorkloadSet()
         self.shards = max(1, int(opts.shards))
-        self.lease_size = max(1, int(lease_size))
         self.lease_timeout_s = float(lease_timeout_s)
         if self.lease_timeout_s <= 0:
             raise ValueError(
                 f"lease_timeout_s must be positive (got {lease_timeout_s})"
             )
-        self.max_renewals = (
-            int(max_renewals) if max_renewals is not None
-            else 4 * self.lease_size + 4
-        )
         self.max_respawns = (
             int(max_respawns) if max_respawns is not None
             else 2 * self.shards
         )
-        self.heartbeat_poll_s = max(0.02, float(heartbeat_poll_s))
-        self.ready_resend_s = max(0.05, float(ready_resend_s))
         self.metrics = metrics if metrics is not None else (
             MetricsRegistry.disabled()
         )
@@ -273,58 +265,61 @@ class ShardCoordinator:
             tempdir = tempfile.mkdtemp(prefix="repro-shards-")
             base = os.path.join(tempdir, "grid.journal")
 
-        sink = Settlement(len(cells), self.options)
-        state = {
-            "sink": sink,
-            "cells": cells,
-            "digest_of": digest_of,
-            "index_of": index_of,
-        }
-
-        if self.resume:
-            self._recover_resume(base, state)
-        else:
-            # A fresh (non-resuming) run must not consume leftovers
-            # from an abandoned one: quarantine stale shard journals.
-            for path in sorted(glob.glob(shard_journal_path(base, "*"))):
-                if path.endswith(".corrupt"):
-                    continue
-                os.replace(path, path + ".stale")
-
-        # Serve result-cache hits in the coordinator before leasing.
-        if self.cache is not None:
-            for cell in cells:
-                if sink.settled(cell.index):
-                    continue
-                hit = self.cache.get(cell.key)
-                if hit is not None:
-                    self._commit(cell.index, hit, "cache", state)
-
-        pending = deque(
-            cell.index for cell in cells if not sink.settled(cell.index)
-        )
-        strict_violation: List[Dict] = []
-        runners: Dict[int, _RunnerState] = {}
+        # The private journal directory goes however the run ends (a
+        # strict abort included); a caller's checkpoint stays.
         try:
-            if pending:
-                self._run_fleet(
-                    base, factories, names, cells, pending, state,
-                    runners, strict_violation, instrumentation, progress,
-                )
-        finally:
-            self._shutdown(runners)
-            sink.close()
+            sink = Settlement(len(cells), self.options)
+            state = {
+                "sink": sink,
+                "cells": cells,
+                "digest_of": digest_of,
+                "index_of": index_of,
+            }
 
-        if strict_violation:
-            raise IntegrityError(
-                InvariantViolation.from_dict(strict_violation[0])
+            if self.resume:
+                self._recover_resume(base, state)
+            else:
+                # A fresh (non-resuming) run must not consume leftovers
+                # from an abandoned one: quarantine stale shard journals.
+                for path in sorted(glob.glob(shard_journal_path(base, "*"))):
+                    if path.endswith(".corrupt"):
+                        continue
+                    os.replace(path, path + ".stale")
+
+            # Serve result-cache hits in the coordinator before leasing.
+            if self.cache is not None:
+                for cell in cells:
+                    if sink.settled(cell.index):
+                        continue
+                    hit = self.cache.get(cell.key)
+                    if hit is not None:
+                        self._commit(cell.index, hit, "cache", state)
+
+            pending = deque(
+                cell.index for cell in cells if not sink.settled(cell.index)
             )
+            strict_violation: List[Dict] = []
+            runners: Dict[int, _RunnerState] = {}
+            try:
+                if pending:
+                    self._run_fleet(
+                        base, factories, names, cells, pending, state,
+                        runners, strict_violation, instrumentation, progress,
+                    )
+            finally:
+                self._shutdown(runners)
+                sink.close()
 
-        self._merge_journals(base)
-        if tempdir is not None:
-            shutil.rmtree(tempdir, ignore_errors=True)
+            if strict_violation:
+                raise IntegrityError(
+                    InvariantViolation.from_dict(strict_violation[0])
+                )
 
-        return sink.grid(cells)
+            self._merge_journals(base)
+            return sink.grid(cells)
+        finally:
+            if tempdir is not None:
+                shutil.rmtree(tempdir, ignore_errors=True)
 
     # -- recovery ----------------------------------------------------------
 
@@ -483,7 +478,6 @@ class ShardCoordinator:
                 sanitizers=self.sanitizers,
                 backoff=self.backoff,
                 instrumentation=instrumentation,
-                ready_resend_s=self.ready_resend_s,
                 close_connections=stray_ends,
             ),
             daemon=True,
@@ -567,7 +561,7 @@ class ShardCoordinator:
         def grant(runner: _RunnerState) -> None:
             nonlocal next_lease_id
             indices = []
-            while pending and len(indices) < self.lease_size:
+            while pending and len(indices) < LEASE_SIZE:
                 index = pending.popleft()
                 if sink.settled(index):
                     continue
@@ -640,7 +634,7 @@ class ShardCoordinator:
                 self._counter("shard.heartbeats").inc()
                 lease = runner.lease
                 if (lease is not None and lease.lease_id == message[2]
-                        and lease.renewals < self.max_renewals):
+                        and lease.renewals < MAX_RENEWALS):
                     lease.renewals += 1
                     lease.deadline = (
                         time.monotonic() + self.lease_timeout_s
@@ -753,7 +747,7 @@ class ShardCoordinator:
             if any(r.transport.pending() for r in alive):
                 timeout = 0.0
             else:
-                timeout = self.heartbeat_poll_s
+                timeout = HEARTBEAT_POLL_S
                 for runner in alive:
                     if runner.lease is not None:
                         timeout = min(

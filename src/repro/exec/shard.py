@@ -12,11 +12,11 @@ Wire protocol (first tuple element):
 
 runner -> coordinator
     * ``("ready", runner_id, last_lease_id)`` — idle and asking for
-      work; re-sent every ``ready_resend_s`` while idle so a dropped
-      message (either direction) never wedges the runner;
+      work; re-sent every :data:`READY_RESEND_S` while idle so a
+      dropped message (either direction) never wedges the runner;
     * ``("heartbeat", runner_id, lease_id)`` — liveness signal at each
       cell boundary; renews the lease (bounded by the coordinator's
-      ``max_renewals``);
+      ``MAX_RENEWALS``);
     * ``("cell_ok", runner_id, lease_id, index, digest, result,
       source)`` — cell ``index`` settled with a result (already
       durable in the shard journal when ``source != "cache"``);
@@ -61,6 +61,10 @@ from repro.integrity.sanitizers import IntegrityError
 from repro.integrity.watchdog import install_escalation_handler
 
 __all__ = ["Lease", "PipeTransport", "ShardRunner", "shard_journal_path"]
+
+#: Seconds an idle runner waits for a lease before announcing ``ready``
+#: again.
+READY_RESEND_S = 1.0
 
 
 def shard_journal_path(base: str, runner_id: int) -> str:
@@ -146,14 +150,12 @@ class ShardRunner:
         cells: Sequence,
         *,
         instrumentation=None,
-        ready_resend_s: float = 1.0,
     ):
         self.runner_id = runner_id
         self.transport = transport
         self.engine = engine
         self.cells = list(cells)
         self.instrumentation = instrumentation
-        self.ready_resend_s = max(0.05, float(ready_resend_s))
         self._last_lease_id: Optional[int] = None
         self._sink = engine.settlement(len(self.cells))
 
@@ -183,7 +185,7 @@ class ShardRunner:
             return
         while True:
             try:
-                message = self.transport.recv(timeout=self.ready_resend_s)
+                message = self.transport.recv(timeout=READY_RESEND_S)
             except (EOFError, OSError):
                 return  # coordinator died; journal survives us
             if message is None:
@@ -260,7 +262,6 @@ def shard_runner_main(
     sanitizers=None,
     backoff=None,
     instrumentation=None,
-    ready_resend_s: float = 1.0,
     close_connections: Sequence = (),
 ) -> None:
     """Body of one forked shard-runner process.
@@ -300,7 +301,6 @@ def shard_runner_main(
         ShardRunner(
             runner_id, transport, engine, cells,
             instrumentation=instrumentation,
-            ready_resend_s=ready_resend_s,
         ).run()
     except (EOFError, OSError):  # pragma: no cover - peer loss races
         pass

@@ -4,34 +4,10 @@
 the sanitizers catch them; this module corrupts the **execution
 fabric** one level up — the shard coordinator, its runners, their
 messages, and their journals — and demands the distributed invariants
-hold:
-
-==========================  ===========================================
-scenario                    what it proves
-==========================  ===========================================
-``clean_control``           an undisturbed sharded run is byte-identical
-                            to the serial run (the yardstick every other
-                            scenario is measured against)
-``runner_sigkill``          SIGKILL a runner mid-grid with the respawn
-                            budget at zero: survivors steal its cells,
-                            its journaled work is recovered not redone
-``message_drop``            every Nth coordinator-side message silently
-                            vanishes (grants, acks, heartbeats): ready
-                            resend + lease regrant + journal replay
-                            converge anyway
-``message_duplicate``       every Nth message arrives twice: at-most-once
-                            commit dedups by digest (``shard.cells.
-                            deduped`` must move)
-``message_delay``           every Nth message stalls: nothing expires
-                            spuriously, nothing is lost
-``journal_corruption``      a runner's shard journal is garbage when the
-                            runner dies: the journal is quarantined and
-                            counted, its cells recompute
-``coordinator_kill``        SIGKILL the *coordinator* mid-grid, then
-                            resume: every journaled cell is recovered
-                            (zero recompute of completed work), the
-                            merged grid is byte-identical
-==========================  ===========================================
+hold.  :data:`CHAOS_SCENARIOS` names every scenario and says what it
+proves; each runs through one body, :func:`_run_scenario`, which
+builds the serial baseline, shards the grid under the scenario's
+perturbation, and diffs the two canonical serialisations.
 
 Every scenario must end **complete and byte-identical**
 (``ResultGrid.to_json(canonical=True)`` against the serial baseline)
@@ -41,23 +17,24 @@ the CI gate (the ``chaos-smoke`` job runs the kill scenarios under a
 hard wall-clock timeout precisely so a hang fails loudly).
 
 The injection seam is :class:`ChaosTransport`, a wrapper over the
-coordinator-side :class:`~repro.exec.shard.Transport` installed via
-``ShardCoordinator(transport_wrapper=...)`` — production code paths
-only, no test doubles inside the coordinator.
+coordinator-side :class:`~repro.exec.shard.Transport` installed
+through the coordinator's ``transport_wrapper`` keyword — production
+code paths only, no test doubles inside the coordinator.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
-import shutil
 import signal
 import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.coordinator import ShardCoordinator, shard_status
 from repro.exec.shard import Transport, shard_journal_path
@@ -294,27 +271,32 @@ class ChaosReport:
 
 def _run_scenario(
     name: str,
-    description: str,
     workloads: WorkloadSet,
     *,
+    shards: int = 3,
+    checkpoint: Optional[str] = None,
+    resume: bool = False,
     delay_s: float = 0.0,
+    lease_timeout_s: float = 15.0,
+    max_respawns: Optional[int] = None,
     transport_wrapper=None,
     on_event=None,
-    max_respawns: Optional[int] = None,
-    lease_timeout_s: float = 15.0,
+    quiet: Sequence[str] = (),
     checks: Optional[
         Callable[[Dict[str, int]], Optional[str]]
     ] = None,
 ) -> ChaosOutcome:
-    """Common body: shard the grid under the given perturbation, then
-    demand byte-identity plus scenario-specific counter evidence."""
+    """The one scenario body: shard the grid under the given
+    perturbation, then demand byte-identity with the serial run, zero
+    on every ``quiet`` counter, and the scenario's own ``checks``
+    (which return what is missing, or ``None``)."""
     names = list(CHAOS_WORKLOADS)
     baseline = _baseline(workloads, names, delay_s)
     metrics = MetricsRegistry()
     started = time.perf_counter()
     coordinator = ShardCoordinator(
         workloads,
-        RunOptions(shards=3),
+        RunOptions(shards=shards, checkpoint=checkpoint, resume=resume),
         lease_timeout_s=lease_timeout_s,
         max_respawns=max_respawns,
         metrics=metrics,
@@ -325,6 +307,7 @@ def _run_scenario(
     elapsed = time.perf_counter() - started
     counters = _counters(metrics)
     identical = grid.to_json(canonical=True) == baseline
+    moved = [key for key in quiet if counters.get(key)]
     detail = ""
     if not identical:
         missing = len(names) * CHAOS_SIMS - sum(
@@ -335,14 +318,18 @@ def _run_scenario(
             f"({missing} cells missing, "
             f"{len(grid.failures)} failures)"
         )
+    elif moved:
+        detail = ", ".join(
+            f"{key}={counters[key]} (expected 0)" for key in moved
+        )
     elif checks is not None:
         detail = checks(counters) or ""
     passed = identical and not detail
     if passed:
         detail = _summarise(counters)
     return ChaosOutcome(
-        scenario=name, description=description, passed=passed,
-        byte_identical=identical, detail=detail,
+        scenario=name, description=CHAOS_SCENARIOS[name][0],
+        passed=passed, byte_identical=identical, detail=detail,
         elapsed_s=round(elapsed, 3), counters=counters,
     )
 
@@ -361,22 +348,9 @@ def _summarise(counters: Dict[str, int]) -> str:
     return ", ".join(parts) or "clean"
 
 
-def _scenario_clean_control(workloads: WorkloadSet) -> ChaosOutcome:
-    def checks(counters):
-        if counters.get("shard.cells.deduped"):
-            return "control run should commit nothing twice"
-        if counters.get("shard.runners.lost"):
-            return "control run should lose no runners"
-        return None
-
-    return _run_scenario(
-        "clean_control",
-        "undisturbed sharded run matches the serial run",
-        workloads, checks=checks,
-    )
-
-
-def _scenario_runner_sigkill(workloads: WorkloadSet) -> ChaosOutcome:
+def _scenario_runner_sigkill(
+    name: str, workloads: WorkloadSet,
+) -> ChaosOutcome:
     pids: Dict[int, int] = {}
     killed: List[int] = []
 
@@ -404,92 +378,50 @@ def _scenario_runner_sigkill(workloads: WorkloadSet) -> ChaosOutcome:
         return None
 
     return _run_scenario(
-        "runner_sigkill",
-        "SIGKILL one runner mid-grid; survivors steal its cells",
-        workloads, delay_s=0.1, max_respawns=0,
+        name, workloads, delay_s=0.1, max_respawns=0,
         lease_timeout_s=6.0, on_event=on_event, checks=checks,
     )
 
 
-def _scenario_message_drop(workloads: WorkloadSet) -> ChaosOutcome:
+def _message_chaos(
+    name: str,
+    workloads: WorkloadSet,
+    *,
+    moved: str,
+    quiet: Sequence[str] = (),
+    lease_timeout_s: float = 15.0,
+    **settings,
+) -> ChaosOutcome:
+    """Every runner's transport becomes a :class:`ChaosTransport` with
+    ``settings``; its ``moved`` counter (``dropped``, ``duplicated`` or
+    ``delayed``) must end above zero on at least one of them.
+
+    Wrapping every runner makes the perturbation certain: whichever
+    runner commits a cell has received at least its ready, a heartbeat
+    and the cell_ok, so an every-2nd or every-3rd perturbation hits
+    however the leases happen to spread."""
     chaotic: List[ChaosTransport] = []
 
     def wrapper(transport, runner_id):
-        # Every runner's transport drops: whichever runner commits a
-        # cell has received at least its ready, a heartbeat and the
-        # cell_ok, so a third message is always dropped, however the
-        # leases happen to spread.
-        transport = ChaosTransport(transport, drop_every=3)
-        chaotic.append(transport)
-        return transport
+        chaotic.append(ChaosTransport(transport, **settings))
+        return chaotic[-1]
 
     def checks(counters):
-        if not any(t.dropped for t in chaotic):
-            return "no message was actually dropped"
+        if not any(getattr(t, moved) for t in chaotic):
+            return f"no message was actually {moved}"
         return None
 
     return _run_scenario(
-        "message_drop",
-        "every 3rd coordinator-side message vanishes",
-        workloads, transport_wrapper=wrapper,
-        lease_timeout_s=6.0, checks=checks,
+        name, workloads, lease_timeout_s=lease_timeout_s,
+        transport_wrapper=wrapper, quiet=quiet, checks=checks,
     )
 
 
-def _scenario_message_duplicate(workloads: WorkloadSet) -> ChaosOutcome:
-    chaotic: List[ChaosTransport] = []
-
-    def wrapper(transport, runner_id):
-        transport = ChaosTransport(transport, duplicate_every=2)
-        chaotic.append(transport)
-        return transport
-
-    def checks(counters):
-        if not any(t.duplicated for t in chaotic):
-            return "no message was actually duplicated"
-        return None
-
-    return _run_scenario(
-        "message_duplicate",
-        "every 2nd received message arrives twice; commits dedup",
-        workloads, transport_wrapper=wrapper, checks=checks,
-    )
-
-
-def _scenario_message_delay(workloads: WorkloadSet) -> ChaosOutcome:
-    def wrapper(transport, runner_id):
-        return ChaosTransport(transport, delay_every=2, delay_s=0.05)
-
-    return _run_scenario(
-        "message_delay",
-        "every 2nd message stalls 50ms; nothing expires spuriously",
-        workloads, transport_wrapper=wrapper,
-    )
-
-
-def _scenario_journal_corruption(workloads: WorkloadSet) -> ChaosOutcome:
+def _scenario_journal_corruption(
+    name: str, workloads: WorkloadSet,
+) -> ChaosOutcome:
     pids: Dict[int, int] = {}
-    journals: Dict[int, str] = {}
     corrupted: List[int] = []
-
-    def on_event(event: str, payload: Dict) -> None:
-        if event == "runner_started":
-            pids[payload["runner_id"]] = payload["pid"]
-        elif (event == "cell_committed" and not corrupted
-                and payload.get("runner_id") is not None):
-            rid = payload["runner_id"]
-            path = journals.get(rid)
-            if path and os.path.exists(path):
-                # Smash the journal the committing runner just fsynced,
-                # then kill the runner: recovery must quarantine the
-                # garbage and recompute, never crash or trust it.
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write("{corrupt! this is not a journal")
-                os.kill(pids[rid], signal.SIGKILL)
-                corrupted.append(rid)
-
-    def wrapper(transport, runner_id):
-        return transport  # no message chaos; just note journal paths
 
     def checks(counters):
         if not corrupted:
@@ -498,41 +430,32 @@ def _scenario_journal_corruption(workloads: WorkloadSet) -> ChaosOutcome:
             return "corrupt journal was not detected"
         return None
 
-    names = list(CHAOS_WORKLOADS)
-    baseline = _baseline(workloads, names, 0.1)
-    metrics = MetricsRegistry()
-    tmp = tempfile.mkdtemp(prefix="repro-chaos-journal-")
-    base = os.path.join(tmp, "grid.journal")
-    for rid in range(3):
-        journals[rid] = shard_journal_path(base, rid)
-    try:
-        started = time.perf_counter()
-        coordinator = ShardCoordinator(
-            workloads, RunOptions(shards=3, checkpoint=base),
-            lease_timeout_s=6.0, metrics=metrics, on_event=on_event,
-            transport_wrapper=wrapper,
+    with tempfile.TemporaryDirectory(
+        prefix="repro-chaos-journal-", ignore_cleanup_errors=True,
+    ) as tmp:
+        base = os.path.join(tmp, "grid.journal")
+
+        def on_event(event: str, payload: Dict) -> None:
+            if event == "runner_started":
+                pids[payload["runner_id"]] = payload["pid"]
+            elif (event == "cell_committed" and not corrupted
+                    and payload.get("runner_id") is not None):
+                rid = payload["runner_id"]
+                path = shard_journal_path(base, rid)
+                if os.path.exists(path):
+                    # Smash the journal the committing runner just
+                    # fsynced, then kill the runner: recovery must
+                    # quarantine the garbage and recompute, never crash
+                    # or trust it.
+                    with open(path, "w", encoding="utf-8") as handle:
+                        handle.write("{corrupt! this is not a journal")
+                    os.kill(pids[rid], signal.SIGKILL)
+                    corrupted.append(rid)
+
+        return _run_scenario(
+            name, workloads, checkpoint=base, delay_s=0.1,
+            lease_timeout_s=6.0, on_event=on_event, checks=checks,
         )
-        grid = coordinator.run_grid(_factories(0.1), names)
-        elapsed = time.perf_counter() - started
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    counters = _counters(metrics)
-    identical = grid.to_json(canonical=True) == baseline
-    detail = "" if identical else "grid diverged from serial baseline"
-    if identical:
-        detail = checks(counters) or ""
-    passed = identical and not detail
-    if passed:
-        detail = _summarise(counters)
-    return ChaosOutcome(
-        scenario="journal_corruption",
-        description=(
-            "a dead runner's shard journal is garbage; it is "
-            "quarantined and its cells recompute"
-        ),
-        passed=passed, byte_identical=identical, detail=detail,
-        elapsed_s=round(elapsed, 3), counters=counters,
-    )
 
 
 def _coordinator_child(base: str, names: Sequence[str]) -> None:
@@ -546,148 +469,137 @@ def _coordinator_child(base: str, names: Sequence[str]) -> None:
     os._exit(0)
 
 
-def _scenario_coordinator_kill(workloads: WorkloadSet) -> ChaosOutcome:
+def _scenario_coordinator_kill(
+    name: str, workloads: WorkloadSet,
+) -> ChaosOutcome:
     """SIGKILL the whole coordinator mid-grid; a fresh coordinator
     with ``resume=True`` must finish from the journals without
     recomputing any journaled cell."""
-    import multiprocessing
-
     names = list(CHAOS_WORKLOADS)
-    baseline = _baseline(workloads, names, 0.25)
-    tmp = tempfile.mkdtemp(prefix="repro-chaos-coord-")
-    base = os.path.join(tmp, "grid.journal")
-    ctx = multiprocessing.get_context("fork")
-    started = time.perf_counter()
-    child = ctx.Process(
-        target=_coordinator_child, args=(base, names), daemon=False,
-    )
-    child.start()
-    try:
-        # Wait until at least one cell is durably journaled, then pull
-        # the plug on the whole coordinator process tree.
-        journaled = 0
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline and child.is_alive():
-            status = shard_status(base)
-            journaled = sum(
-                record["entries"] for record in status["journals"]
-            )
-            if journaled >= 1:
-                break
-            time.sleep(0.05)
-        if child.is_alive():
-            os.kill(child.pid, signal.SIGKILL)
-        child.join(timeout=10.0)
+    total = len(names) * CHAOS_SIMS
+    journaled = 0
 
-        total = len(names) * CHAOS_SIMS
+    def checks(counters):
         if journaled < 1:
-            return ChaosOutcome(
-                scenario="coordinator_kill",
-                description="kill and resume the coordinator itself",
-                passed=False, byte_identical=False,
-                detail="coordinator finished before it could be killed",
-                counters={},
-            )
-
-        metrics = MetricsRegistry()
-        coordinator = ShardCoordinator(
-            workloads,
-            RunOptions(shards=2, checkpoint=base, resume=True),
-            lease_timeout_s=15.0, metrics=metrics,
-        )
-        # Same factories (and thus digests) as the killed coordinator.
-        grid = coordinator.run_grid(_factories(0.25), names)
-        elapsed = time.perf_counter() - started
-        counters = _counters(metrics)
-        identical = grid.to_json(canonical=True) == baseline
+            return "coordinator finished before it could be killed"
         recovered = counters.get("shard.cells.recovered", 0)
         computed = counters.get("shard.cells.computed", 0)
-        detail = ""
-        if not identical:
-            detail = "resumed grid diverged from serial baseline"
-        elif recovered < journaled:
-            detail = (
+        if recovered < journaled:
+            return (
                 f"only {recovered} of {journaled} journaled cells "
                 f"were recovered — completed work was recomputed"
             )
-        elif recovered + computed != total:
-            detail = (
+        if recovered + computed != total:
+            return (
                 f"recovered ({recovered}) + computed ({computed}) "
                 f"!= total cells ({total})"
             )
-        passed = identical and not detail
-        if passed:
-            detail = (
-                f"killed with {journaled} journaled, recovered="
-                f"{recovered}, computed={computed}"
-            )
-        return ChaosOutcome(
-            scenario="coordinator_kill",
-            description="kill and resume the coordinator itself",
-            passed=passed, byte_identical=identical, detail=detail,
-            elapsed_s=round(elapsed, 3), counters=counters,
+        return None
+
+    with tempfile.TemporaryDirectory(
+        prefix="repro-chaos-coord-", ignore_cleanup_errors=True,
+    ) as tmp:
+        base = os.path.join(tmp, "grid.journal")
+        child = multiprocessing.get_context("fork").Process(
+            target=_coordinator_child, args=(base, names), daemon=False,
         )
-    finally:
-        if child.is_alive():  # pragma: no cover - cleanup race
-            child.kill()
-            child.join(timeout=5.0)
-        shutil.rmtree(tmp, ignore_errors=True)
+        child.start()
+        try:
+            # Wait until at least one cell is durably journaled, then
+            # pull the plug on the whole coordinator process tree.
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and child.is_alive():
+                status = shard_status(base)
+                journaled = sum(
+                    record["entries"] for record in status["journals"]
+                )
+                if journaled >= 1:
+                    break
+                time.sleep(0.05)
+        finally:
+            if child.is_alive():
+                child.kill()
+            child.join(timeout=10.0)
+        # Same factories (and thus digests) as the killed coordinator.
+        return _run_scenario(
+            name, workloads, shards=2, checkpoint=base, resume=True,
+            delay_s=0.25, checks=checks,
+        )
 
 
-#: scenario name -> (description, implementation).
-CHAOS_SCENARIOS: Dict[str, tuple] = {
+#: scenario name -> (what it induces and must show, implementation).
+#: Every implementation takes ``(name, workloads)`` and ends in
+#: :func:`_run_scenario`.
+CHAOS_SCENARIOS: Dict[
+    str, Tuple[str, Callable[[str, WorkloadSet], ChaosOutcome]]
+] = {
     "clean-control": (
-        "undisturbed sharded run, byte-identical to serial",
-        _scenario_clean_control,
+        "undisturbed sharded run: byte-identical to serial, nothing "
+        "committed twice, no runner lost",
+        partial(
+            _run_scenario,
+            quiet=("shard.cells.deduped", "shard.runners.lost"),
+        ),
     ),
     "runner-sigkill": (
-        "SIGKILL a runner mid-grid; survivors steal its cells",
+        "SIGKILL a runner mid-grid with no respawn budget: survivors "
+        "steal its cells, its journaled work is recovered not redone",
         _scenario_runner_sigkill,
     ),
     "message-drop": (
-        "drop every 3rd coordinator-side message",
-        _scenario_message_drop,
+        "drop every 3rd coordinator-side message (grants, acks, "
+        "heartbeats): ready resend, lease regrant and journal replay "
+        "converge anyway",
+        partial(
+            _message_chaos, moved="dropped", drop_every=3,
+            lease_timeout_s=6.0,
+        ),
     ),
     "message-duplicate": (
-        "duplicate every 2nd received message",
-        _scenario_message_duplicate,
+        "every 2nd received message arrives twice: at-most-once "
+        "commit dedups by digest",
+        partial(_message_chaos, moved="duplicated", duplicate_every=2),
     ),
     "message-delay": (
-        "delay every 2nd message by 50ms",
-        _scenario_message_delay,
+        "delay every 2nd message by 50 ms: no lease expires "
+        "spuriously, no runner is lost",
+        partial(
+            _message_chaos, moved="delayed", delay_every=2,
+            delay_s=0.05,
+            quiet=("shard.leases.expired", "shard.runners.lost"),
+        ),
     ),
     "journal-corruption": (
-        "corrupt a dead runner's shard journal",
+        "a dead runner's shard journal is garbage: it is quarantined "
+        "and counted, its cells recompute",
         _scenario_journal_corruption,
     ),
     "coordinator-kill": (
-        "SIGKILL the coordinator, then resume from journals",
+        "SIGKILL the coordinator mid-grid, then resume: every "
+        "journaled cell is recovered, none recomputed",
         _scenario_coordinator_kill,
     ),
 }
 
 
-def run_chaos_scenario(
-    name: str, workloads: Optional[WorkloadSet] = None,
-) -> ChaosOutcome:
+def run_chaos_scenario(name: str) -> ChaosOutcome:
     """Run one scenario by registry name."""
-    try:
-        _, implementation = CHAOS_SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown chaos scenario {name!r}; known: "
-            f"{', '.join(sorted(CHAOS_SCENARIOS))}"
-        ) from None
-    return implementation(workloads or WorkloadSet())
+    return run_chaos_suite([name]).outcomes[0]
 
 
 def run_chaos_suite(
     scenarios: Optional[Sequence[str]] = None,
-    workloads: Optional[WorkloadSet] = None,
 ) -> ChaosReport:
-    """Run the named scenarios (default: all, registry order)."""
-    workloads = workloads or WorkloadSet()
-    report = ChaosReport()
-    for name in scenarios or list(CHAOS_SCENARIOS):
-        report.outcomes.append(run_chaos_scenario(name, workloads))
-    return report
+    """Run the named scenarios (default: all, registry order); an
+    unknown name raises :class:`ValueError` before anything runs."""
+    names = list(scenarios or CHAOS_SCENARIOS)
+    for name in names:
+        if name not in CHAOS_SCENARIOS:
+            raise ValueError(
+                f"unknown chaos scenario {name!r}; known: "
+                f"{', '.join(sorted(CHAOS_SCENARIOS))}"
+            )
+    workloads = WorkloadSet()
+    return ChaosReport([
+        CHAOS_SCENARIOS[name][1](name, workloads) for name in names
+    ])

@@ -29,18 +29,19 @@ fault class                     expected detection channel
 ``worker_hang``                 ``timeout`` (engine per-cell budget)
 ==============================  ==========================================
 
-Every fault runs through the *production* cell path — the
-:class:`~repro.exec.engine.ExperimentEngine` with sanitizers armed —
-so the matrix exercises exactly the code a real grid runs.  A clean
-``control`` row (unfaulted sim-alpha, same path) proves the checkers
-do not cry wolf.  A fault whose result lands in the grid as a normal
+Every fault runs through the *production* cell path —
+:meth:`~repro.validation.harness.Harness.run_grid` with sanitizers
+armed — so the matrix exercises exactly the code a real grid runs.
+A clean ``control`` row (unfaulted sim-alpha, same path) proves the
+checkers do not cry wolf.  A fault whose result lands in the grid as a normal
 cell is a **silent corruption** — the failure mode this whole
 subsystem exists to rule out; :attr:`DetectionMatrix.all_caught`
 asserts there are none.
 
-Single-workload detection (:func:`run_detection_matrix`) proves each
-checker *can* fire; it says nothing about whether the workload was the
-one built to stress the faulted subsystem.  The **workload sweep**
+Single-workload detection (:func:`run_detection_matrix`, the sweep
+with every family reduced to one workload) proves each checker *can*
+fire; it says nothing about whether the workload was the one built to
+stress the faulted subsystem.  The **workload sweep**
 (:func:`run_detection_sweep`) pairs every fault class with the
 microbenchmark families from :data:`repro.workloads.suite.
 WORKLOAD_FAMILIES` that stress its subsystem — control faults against
@@ -55,6 +56,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -75,6 +77,13 @@ __all__ = [
     "run_detection_matrix",
     "run_detection_sweep",
 ]
+
+#: Per-cell wall-clock budget under the pool (``worker_hang`` trips it).
+POOL_TIMEOUT_S = 10.0
+#: Window of the non-strict sanitizers every detection cell runs under.
+SANITIZER_WINDOW = 128
+#: Livelock watchdog armed on every detection cell.
+WATCHDOG_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -431,7 +440,8 @@ class Detection:
     detail: str = ""
     skipped: str = ""
     #: The workload this cell ran, and the family that paired it with
-    #: the fault (empty for control rows and skipped faults).
+    #: the fault (a control row: the family its workload was first
+    #: paired under; empty for skipped faults).
     workload: str = ""
     family: str = ""
 
@@ -487,14 +497,10 @@ class DetectionMatrix:
 
     def render(self) -> str:
         """Fixed-width table for reports and the CLI."""
-        swept = any(row.workload for row in self.rows)
-        if swept:
-            header = (
-                f"{'fault':<26} {'workload':<9} {'family':<8} "
-                f"{'detected':<9} via"
-            )
-        else:
-            header = f"{'fault':<26} {'detected':<9} {'via':<34} note"
+        header = (
+            f"{'fault':<26} {'workload':<9} {'family':<8} "
+            f"{'detected':<9} via"
+        )
         lines = [header, "-" * len(header)]
         for row in self.rows:
             if row.skipped:
@@ -507,16 +513,10 @@ class DetectionMatrix:
                 via = ", ".join(row.channels) or "-"
                 if row.detected and not row.expected_channel:
                     status = "yes*"  # caught, but not by design channel
-            if swept:
-                lines.append(
-                    f"{row.fault:<26} {row.workload or '-':<9} "
-                    f"{row.family or '-':<8} {status:<9} {via}"
-                )
-            else:
-                lines.append(
-                    f"{row.fault:<26} {status:<9} {via:<34} "
-                    f"{row.description}"
-                )
+            lines.append(
+                f"{row.fault:<26} {row.workload or '-':<9} "
+                f"{row.family or '-':<8} {status:<9} {via}"
+            )
         return "\n".join(lines)
 
 
@@ -530,46 +530,40 @@ def _channels_of(failure) -> List[str]:
 
 
 def _run_cells(
-    matrix: DetectionMatrix,
     fault_cells: "Dict[str, List[Tuple[str, str]]]",
-    control_workloads: Sequence[str],
-    *,
-    workloads: WorkloadSet,
+    controls: Dict[str, str],
     include_pool_faults: bool,
-    pool_timeout_s: float,
-    window: int,
-    watchdog_s: float,
-    label_cells: bool,
 ) -> DetectionMatrix:
-    """Run control cells plus every ``fault -> [(workload, family)]``
-    cell through the production engine, appending matrix rows."""
+    """Run a clean control on every ``controls`` workload (mapped to
+    the family it was first paired under) plus every ``fault ->
+    [(workload, family)]`` cell through :meth:`Harness.run_grid`,
+    appending matrix rows."""
     from repro.core.simalpha import SimAlpha
-    from repro.exec.engine import ExperimentEngine, RetryBackoff
     from repro.exec.spec import RunOptions
+    from repro.validation.harness import Harness
 
-    def engine_for(pool: bool) -> ExperimentEngine:
-        return ExperimentEngine(
+    workloads = WorkloadSet()
+    matrix = DetectionMatrix(workload="sweep")
+
+    def run_grid(factory, names: Sequence[str], pool: bool):
+        return Harness(
             workloads,
             RunOptions(
                 jobs=2 if pool else 1,
-                timeout=pool_timeout_s if pool else None,
+                timeout=POOL_TIMEOUT_S if pool else None,
                 retries=0,
-                watchdog_s=watchdog_s,
+                watchdog_s=WATCHDOG_S,
             ),
-            backoff=RetryBackoff(base_s=0.0, cap_s=0.0, jitter=0.0),
-            sanitizers=Sanitizers(window=window),
-        )
+            sanitizers=Sanitizers(window=SANITIZER_WINDOW),
+        ).run_grid([factory], names, instrumentation=Instrumentation())
 
     # Controls: the unfaulted simulator through the identical path,
     # once per workload any fault will run on.
-    control_grid = engine_for(False).run_grid(
-        [SimAlpha], list(control_workloads),
-        instrumentation=Instrumentation(),
-    )
+    control_grid = run_grid(SimAlpha, list(controls), pool=False)
     control_failures: Dict[str, List] = {}
     for failure in control_grid.failures:
         control_failures.setdefault(failure.workload, []).append(failure)
-    for name in control_workloads:
+    for name, family in controls.items():
         failures = control_failures.get(name, [])
         matrix.rows.append(Detection(
             fault="control",
@@ -582,15 +576,14 @@ def _run_cells(
             ],
             expected_channel=False,
             detail=failures[0].message if failures else "",
-            workload=name if label_cells else "",
+            workload=name,
+            family=family,
         ))
 
+    fork = "fork" in multiprocessing.get_all_start_methods()
     for name, cells in fault_cells.items():
         spec = FAULTS[name]
-        engine = engine_for(spec.needs_pool)
-        if spec.needs_pool and (
-            not include_pool_faults or engine._ctx is None
-        ):
+        if spec.needs_pool and not (include_pool_faults and fork):
             matrix.rows.append(Detection(
                 fault=name, description=spec.description,
                 detected=False,
@@ -600,10 +593,10 @@ def _run_cells(
                 ),
             ))
             continue
-        grid = engine.run_grid(
-            [lambda name=name: FaultedAlpha(name)],
+        grid = run_grid(
+            lambda name=name: FaultedAlpha(name),
             [workload for workload, _ in cells],
-            instrumentation=Instrumentation(),
+            pool=spec.needs_pool,
         )
         by_workload = {f.workload: f for f in grid.failures}
         for workload, family in cells:
@@ -619,8 +612,8 @@ def _run_cells(
                 ),
                 detail=failure.message.strip().splitlines()[-1]
                 if failure is not None and failure.message else "",
-                workload=workload if label_cells else "",
-                family=family if label_cells else "",
+                workload=workload,
+                family=family,
             ))
     return matrix
 
@@ -628,43 +621,23 @@ def _run_cells(
 def run_detection_matrix(
     workload: str = "M-M",
     *,
-    workloads: Optional[WorkloadSet] = None,
     faults: Optional[Sequence[str]] = None,
     include_pool_faults: bool = True,
-    pool_timeout_s: float = 10.0,
-    window: int = 128,
-    watchdog_s: float = 30.0,
 ) -> DetectionMatrix:
     """Inject every fault class (plus a clean control) into sim-alpha
     on the single ``workload`` and report how each was caught.
 
-    Every run goes through the execution engine with sanitizers armed
-    (non-strict, window ``window``) and instrumentation on, exactly as
-    a production grid would; pool faults (crash/hang) run under a
-    two-worker pool with a ``pool_timeout_s`` cell budget and are
-    skipped (not failed) where fork is unavailable.
+    This is :func:`run_detection_sweep` with every family's members
+    set to ``(workload,)``: each fault runs once, on ``workload`` (or
+    on its pinned workloads), labelled with its first stressing family.
     """
-    names = list(faults) if faults is not None else list(FAULTS)
-    fault_cells: Dict[str, List[Tuple[str, str]]] = {}
-    control_workloads = [workload]
-    for name in names:
-        spec = FAULTS[name]
-        pinned = spec.workloads or (workload,)
-        fault_cells[name] = [(w, spec.families[0]) for w in pinned]
-        for w in pinned:
-            if w not in control_workloads:
-                control_workloads.append(w)
-    return _run_cells(
-        DetectionMatrix(workload=workload),
-        fault_cells,
-        control_workloads,
-        workloads=workloads or WorkloadSet(),
+    matrix = run_detection_sweep(
+        faults=faults,
+        family_members=dict.fromkeys(WORKLOAD_FAMILIES, (workload,)),
         include_pool_faults=include_pool_faults,
-        pool_timeout_s=pool_timeout_s,
-        window=window,
-        watchdog_s=watchdog_s,
-        label_cells=False,
     )
+    matrix.workload = workload
+    return matrix
 
 
 def run_detection_sweep(
@@ -672,11 +645,7 @@ def run_detection_sweep(
     families: Optional[Sequence[str]] = None,
     faults: Optional[Sequence[str]] = None,
     family_members: Optional[Dict[str, Sequence[str]]] = None,
-    workloads: Optional[WorkloadSet] = None,
     include_pool_faults: bool = True,
-    pool_timeout_s: float = 10.0,
-    window: int = 128,
-    watchdog_s: float = 30.0,
 ) -> DetectionMatrix:
     """The workload-swept matrix: every fault class on every member of
     every workload family built to stress its subsystem.
@@ -687,6 +656,13 @@ def run_detection_sweep(
     families to keep tier-1 cheap).  Each workload appears at most
     once per fault even when two of its families are paired, and every
     distinct workload gets its own clean control cell.
+
+    Every cell runs through :meth:`Harness.run_grid` with sanitizers
+    armed (non-strict, window :data:`SANITIZER_WINDOW`), a
+    :data:`WATCHDOG_S` livelock watchdog and instrumentation on,
+    exactly as a production grid would; pool faults (crash/hang) run
+    under a two-worker pool with a :data:`POOL_TIMEOUT_S` cell budget
+    and are skipped (not failed) where fork is unavailable.
     """
     selected = list(families) if families is not None else list(
         WORKLOAD_FAMILIES
@@ -703,7 +679,8 @@ def run_detection_sweep(
     names = list(faults) if faults is not None else list(FAULTS)
 
     fault_cells: Dict[str, List[Tuple[str, str]]] = {}
-    control_workloads: List[str] = []
+    #: workload -> the family it was first paired under, in plan order.
+    controls: Dict[str, str] = {}
     for name in names:
         spec = FAULTS[name]
         cells: List[Tuple[str, str]] = []
@@ -725,18 +702,7 @@ def run_detection_sweep(
         if not cells:
             continue  # fault's subsystem is outside the selected sweep
         fault_cells[name] = cells
-        for workload, _ in cells:
-            if workload not in control_workloads:
-                control_workloads.append(workload)
+        for workload, family in cells:
+            controls.setdefault(workload, family)
 
-    return _run_cells(
-        DetectionMatrix(workload="sweep"),
-        fault_cells,
-        control_workloads,
-        workloads=workloads or WorkloadSet(),
-        include_pool_faults=include_pool_faults,
-        pool_timeout_s=pool_timeout_s,
-        window=window,
-        watchdog_s=watchdog_s,
-        label_cells=True,
-    )
+    return _run_cells(fault_cells, controls, include_pool_faults)

@@ -666,24 +666,17 @@ def main(argv=None) -> int:
         return ExitCode.OK
 
     if args.experiment == "chaos":
-        from repro.integrity.chaos import (
-            CHAOS_SCENARIOS,
-            run_chaos_scenario,
-            run_chaos_suite,
-        )
+        from repro.integrity.chaos import run_chaos_suite
+        from repro.integrity.checkpoint import CheckpointConflict
 
-        if args.workload and args.workload not in CHAOS_SCENARIOS:
-            parser.error(
-                f"unknown chaos scenario {args.workload!r}; known: "
-                + ", ".join(sorted(CHAOS_SCENARIOS))
+        try:
+            report = run_chaos_suite(
+                [args.workload] if args.workload else None
             )
-        if args.workload:
-            report_outcomes = [run_chaos_scenario(args.workload)]
-            from repro.integrity.chaos import ChaosReport
-
-            report = ChaosReport(outcomes=report_outcomes)
-        else:
-            report = run_chaos_suite()
+        except CheckpointConflict:
+            raise  # a determinism violation, not a usage error
+        except ValueError as error:  # an unknown scenario name
+            parser.error(str(error))
         print(report.render())
         if args.metrics_out:
             with open(args.metrics_out, "w", encoding="utf-8") as out:

@@ -9,6 +9,8 @@ forked pool, or across shard runners; and the single-cell options
 """
 
 import multiprocessing
+import os
+import tempfile
 from dataclasses import dataclass
 
 import pytest
@@ -127,6 +129,18 @@ def test_strict_sanitizers_raise_in_every_mode(tmp_path, workloads, mode):
     with pytest.raises(IntegrityError) as excinfo:
         harness.run_grid(factories(), NAMES, modes(tmp_path)[mode])
     assert excinfo.value.violation.invariant == "ipc_bound"
+
+
+def test_strict_shard_grid_leaves_no_temp_dir(
+    tmp_path, monkeypatch, workloads,
+):
+    """Without a checkpoint the coordinator journals into a private
+    temporary directory, which must go even when the grid raises."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    harness = Harness(workloads, sanitizers=Sanitizers(strict=True))
+    with pytest.raises(IntegrityError):
+        harness.run_grid(factories(), NAMES, RunOptions(shards=2))
+    assert os.listdir(tmp_path) == []
 
 
 def test_dram_backend_reaches_every_executor(workloads):

@@ -136,7 +136,9 @@ class TestScenarios:
     evidence in the counters (the scenario's own checks)."""
 
     def test_clean_control(self):
-        _assert_passed(run_chaos_scenario("clean-control"))
+        outcome = run_chaos_scenario("clean-control")
+        _assert_passed(outcome)
+        assert outcome.scenario == "clean-control"
 
     def test_message_drop(self):
         _assert_passed(run_chaos_scenario("message-drop"))
@@ -145,6 +147,12 @@ class TestScenarios:
         outcome = run_chaos_scenario("message-duplicate")
         _assert_passed(outcome)
         assert outcome.counters.get("shard.cells.deduped", 0) >= 1
+
+    def test_message_delay(self):
+        outcome = run_chaos_scenario("message-delay")
+        _assert_passed(outcome)
+        assert outcome.counters.get("shard.leases.expired", 0) == 0
+        assert outcome.counters.get("shard.runners.lost", 0) == 0
 
     def test_runner_sigkill(self):
         outcome = run_chaos_scenario("runner-sigkill")

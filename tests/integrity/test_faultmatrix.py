@@ -108,6 +108,11 @@ class TestInProcessMatrix:
         for row in matrix.rows:
             assert row.fault in rendered
 
+    def test_every_row_carries_workload_and_family(self, matrix):
+        for row in matrix.rows:
+            if not row.skipped:
+                assert row.workload and row.family, row
+
 
 class TestSweep:
     """The workload-swept matrix over one cheap member per family."""
