@@ -109,13 +109,13 @@ _STWT_UNSAFE_IDX = tuple(
 )
 
 #: Instruction identity for pre-scan and capture comparison: every
-#: DynInstr field the timing engine reads.  ``size``/``seq``/``index``
-#: are not timing-relevant (``repro.exec.cache.instr_signature`` is the
-#: same judgement at whole-trace granularity).
+#: DynInstr field the timing engine reads, less those derived from the
+#: opcode (``klass``, ``latency`` and the ``is_*`` flags carry no extra
+#: information).  ``size``/``seq``/``index`` are not timing-relevant
+#: (``repro.exec.cache.instr_signature`` is the same judgement at
+#: whole-trace granularity).
 _DYN_KEY = attrgetter(
-    "pc", "opcode", "klass", "dest", "srcs", "latency", "taken",
-    "next_pc", "eaddr", "slot", "is_load", "is_store", "is_fp",
-    "is_control",
+    "pc", "opcode", "dest", "srcs", "taken", "next_pc", "eaddr", "slot",
 )
 
 # Indices into the snapshot time vector (see _snapshot).

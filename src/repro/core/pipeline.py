@@ -82,35 +82,19 @@ _FADD = 16
 _FMUL = 32
 _FDIV = 64
 
-_DIV_CLASSES = frozenset(
-    (
-        InstrClass.FP_DIV_S,
-        InstrClass.FP_DIV_D,
-        InstrClass.FP_SQRT_S,
-        InstrClass.FP_SQRT_D,
-    )
+#: Capability bit each instruction class requires, indexed by
+#: ``InstrClass.ordinal``.  Only the ``_FDIV`` classes (divide and
+#: square root) hold their unit for the whole latency.
+_UNIT_NEED = tuple(
+    _MUL if klass is InstrClass.INT_MUL
+    else _MEM if klass.is_memory
+    else _BR if klass.is_control
+    else _FADD if klass is InstrClass.FP_ADD
+    else _FMUL if klass is InstrClass.FP_MUL
+    else _FDIV if klass.is_fp_operate
+    else _ALU
+    for klass in InstrClass
 )
-
-_CMOV_OPS = frozenset((Opcode.CMOVEQ, Opcode.CMOVNE))
-
-
-def _unit_need(klass: InstrClass) -> int:
-    """Capability bit an instruction class requires."""
-    if klass is InstrClass.INT_MUL:
-        return _MUL
-    if klass.is_memory and not klass.is_fp:
-        return _MEM
-    if klass is InstrClass.FP_LOAD or klass is InstrClass.FP_STORE:
-        return _MEM
-    if klass.is_control:
-        return _BR
-    if klass is InstrClass.FP_ADD:
-        return _FADD
-    if klass is InstrClass.FP_MUL:
-        return _FMUL
-    if klass in _DIV_CLASSES:
-        return _FDIV
-    return _ALU
 
 
 class AlphaPipeline:
@@ -220,6 +204,13 @@ class AlphaPipeline:
         store_wait = self.store_wait
         int_units = self._units
         fp_units = self._fp_units
+        # The units able to execute each class, in scan order, by
+        # InstrClass.ordinal.
+        capable_units = [
+            [unit for unit in (fp_units if klass.is_fp_operate else int_units)
+             if unit[0] & _UNIT_NEED[klass.ordinal]]
+            for klass in InstrClass
+        ]
 
         front_depth = cfg.front_end_depth
         regread = cfg.regread_depth + (cfg.regfile.access_cycles - 1)
@@ -248,6 +239,9 @@ class AlphaPipeline:
         addr_feature = features.addr and not bugs.late_branch_recovery
         eret = features.eret and not bugs.no_unop_removal
         mul_latency_override = 1 if bugs.wrong_fu_mix else None
+        luse_on = features.luse
+        stwt_on = features.stwt
+        extra_way_cycle = bugs.extra_way_predictor_cycle
         #: Penalty when a wrong line prediction on sequential flow is
         #: discovered late (no slot-stage adder to fix it).
         late_line_penalty = front_depth + regread + 3
@@ -326,6 +320,17 @@ class AlphaPipeline:
             prof.instrument(self)
             lap = prof.lap
             lap("setup")
+        # Bound only now, so that a profiled run calls the wrappers
+        # instrument() installed on the instances.
+        ifetch = hier.ifetch
+        load = hier.load
+        store = hier.store
+        line_train = line_pred.predict_and_train
+        way_train = way_pred.predict_and_train
+        bpred_train = bpred.predict_and_train
+        luse_train = load_use.predict_and_train
+        should_wait = store_wait.should_wait
+        tick = store_wait.tick
 
         # Trace-compilation fast path: engages only for random-access,
         # unwindowed traces long enough to plausibly contain hot loops.
@@ -411,9 +416,7 @@ class AlphaPipeline:
                 if prev_octaword >= 0 and not force_new_fetch:
                     # Sequential octaword transition: the line predictor
                     # must have steered fetch here.
-                    predicted = line_pred.predict_and_train(
-                        prev_octaword, octaword
-                    )
+                    predicted = line_train(prev_octaword, octaword)
                     if predicted != octaword:
                         stats.line_mispredicts += 1
                         if addr_feature:
@@ -429,17 +432,15 @@ class AlphaPipeline:
                                 group_ready + late_line_penalty,
                             )
                 fetch_start = max(fetch_free, pending_fetch_at)
-                ifr = hier.ifetch(fetch_start, octaword)
+                ready, l1_hit, way = ifetch(fetch_start, octaword)
                 if sanitizer is not None:
-                    sanitizer.check_time("ifetch", ifr.ready, pc=pc)
-                if not ifr.l1_hit:
+                    sanitizer.check_time("ifetch", ready, pc=pc)
+                if not l1_hit:
                     stats.icache_misses += 1
-                ready = ifr.ready
-                predicted_way = way_pred.predict_and_train(octaword, ifr.way)
-                if predicted_way != ifr.way:
+                if way_train(octaword, way) != way:
                     stats.way_mispredicts += 1
                     ready += cfg.way_mispredict_bubble
-                if bugs.extra_way_predictor_cycle:
+                if extra_way_cycle:
                     ready += 1
                 fetch_free = fetch_start + 1
                 group_ready = ready
@@ -489,8 +490,9 @@ class AlphaPipeline:
                     map_time = oldest
 
             dest = dyn.dest
-            is_fp_dest = dest is not None and dest[0] == "f"
-            if dest is not None and dest not in ("r31", "f31"):
+            renames = dest is not None and dest not in ("r31", "f31")
+            if renames:
+                is_fp_dest = dest[0] == "f"
                 ring = fp_rename if is_fp_dest else int_rename
                 pool = fp_pool if is_fp_dest else int_pool
                 if len(ring) >= pool:
@@ -506,9 +508,9 @@ class AlphaPipeline:
                         map_time += maps_stall
                     maps_low = low
 
-            uses_fp_queue = dyn.is_fp and not klass.is_memory
-            queue_ring = fpq_ring if uses_fp_queue else intq_ring
-            queue_size = fpq_size if uses_fp_queue else intq_size
+            fp_pipe = klass.is_fp_operate
+            queue_ring = fpq_ring if fp_pipe else intq_ring
+            queue_size = fpq_size if fp_pipe else intq_size
             if len(queue_ring) >= queue_size:
                 oldest = queue_ring.popleft()
                 if oldest > map_time:
@@ -526,7 +528,7 @@ class AlphaPipeline:
             # Operand readiness and cluster choice
             # ----------------------------------------------------------
             srcs = dyn.srcs
-            if dyn.opcode in _CMOV_OPS and dest is not None:
+            if dyn.opcode.reads_dest and dest is not None:
                 srcs = srcs + (dest,)
             data_ready = 0.0
             src_cluster = -1
@@ -539,67 +541,59 @@ class AlphaPipeline:
                         src_cluster = producer_cluster
 
             # Unit selection.
-            if dyn.is_fp and not klass.is_memory:
-                units = fp_units
-            else:
-                units = int_units
-            need = _unit_need(klass)
+            need = _UNIT_NEED[klass.ordinal]
             issue_base = map_time + 1
             lower_bound = issue_base if issue_base > data_ready else data_ready
 
             best = None
             best_time = None
-            if not slot_on:
-                # Without slotting restrictions the arbiter is an ideal
-                # balancer: rotate the scan so ties spread across units
-                # instead of piling onto a favourite.
-                unit_rotate += 1
-                scan = units[unit_rotate % len(units):] + \
-                    units[:unit_rotate % len(units)]
-            else:
-                scan = units
-            for unit in scan:
-                if not unit[0] & need:
-                    continue
-                t = lower_bound if lower_bound > unit[1] else unit[1]
-                if slot_on and not aggressive:
-                    # The real arbiter: no source-aware steering; the
-                    # cross-cluster bypass applies whenever the critical
-                    # producer lives in the other cluster.
+            if slot_on:
+                for unit in capable_units[klass.ordinal]:
+                    t = lower_bound if lower_bound > unit[1] else unit[1]
                     if src_cluster >= 0 and unit[2] != src_cluster:
-                        if data_ready + cross_bypass > t:
+                        # The producer lives in the other cluster.
+                        if aggressive:
+                            # sim-initial's too-smart scheduler prefers
+                            # the producer's cluster: a mild bias away,
+                            # rarely binding.  0.25 keeps every time a
+                            # multiple of 1/4 (the float-exactness note).
+                            t += 0.25
+                        elif data_ready + cross_bypass > t:
+                            # The real arbiter does no source-aware
+                            # steering: it pays the cross-cluster bypass.
                             t = data_ready + cross_bypass
-                elif slot_on and aggressive:
-                    # sim-initial's too-smart scheduler: prefers the
-                    # producer's cluster, dodging the bypass penalty.
-                    if src_cluster >= 0 and unit[2] != src_cluster:
-                        # Mild bias away, rarely binding.  0.25 keeps
-                        # every time a multiple of 1/4, which doubles
-                        # represent exactly below 2**51 cycles — see
-                        # the module docstring's float-exactness note.
-                        t += 0.25
-                # With `slot` off there are no slotting restrictions and
-                # no cluster penalty: an abstract centralized core.
-                if best_time is None or t < best_time:
-                    best_time = t
-                    best = unit
-            if best is None:  # pragma: no cover - every class has a unit
-                raise RuntimeError(f"no unit can execute {dyn.opcode}")
+                    if best_time is None or t < best_time:
+                        best_time = t
+                        best = unit
+            else:
+                # No slotting restrictions and no cluster penalty: an
+                # abstract centralized core whose arbiter is an ideal
+                # balancer, rotating the scan so ties spread across
+                # units instead of piling onto a favourite.
+                units = fp_units if fp_pipe else int_units
+                unit_rotate += 1
+                first = unit_rotate % len(units)
+                for unit in units[first:] + units[:first]:
+                    if unit[0] & need:
+                        t = lower_bound if lower_bound > unit[1] else unit[1]
+                        if best_time is None or t < best_time:
+                            best_time = t
+                            best = unit
             issue_time = best_time
             my_cluster = best[2]
 
             # Store-wait: a load with its wait bit set holds until older
             # stores have resolved.
             waited_for_stores = False
-            if dyn.is_load and features.stwt and store_wait.should_wait(pc):
+            if dyn.is_load and stwt_on and should_wait(pc):
                 if store_frontier > issue_time:
                     issue_time = store_frontier
                 stats.store_wait_holds += 1
                 waited_for_stores = True
 
             # Issue-port arbitration.
-            ports = fp_ports if dyn.is_fp and not klass.is_memory else int_ports
-            width = fp_width if dyn.is_fp and not klass.is_memory else int_width
+            ports = fp_ports if fp_pipe else int_ports
+            width = fp_width if fp_pipe else int_width
             cycle = int(issue_time)
             scan_stop = cycle + PORT_SCAN_LIMIT
             while ports.get(cycle, 0) >= width:
@@ -628,7 +622,7 @@ class AlphaPipeline:
             latency = dyn.latency
             if mul_latency_override is not None and klass is InstrClass.INT_MUL:
                 latency = mul_latency_override
-            if klass in _DIV_CLASSES:
+            if need == _FDIV:
                 best[1] = issue_time + latency
             else:
                 best[1] = issue_time + 1
@@ -643,7 +637,7 @@ class AlphaPipeline:
             trap_redirect = 0.0
             if dyn.is_load:
                 key = dyn.eaddr >> 3
-                result = hier.load(issue_time, dyn.eaddr, fp=dyn.is_fp)
+                result = load(issue_time, dyn.eaddr, fp=dyn.is_fp)
                 if not result.l1_hit:
                     stats.dcache_misses += 1
                 if not result.l1_hit and not result.l2_hit and \
@@ -659,8 +653,8 @@ class AlphaPipeline:
                     sanitizer.check_time("load", result.ready, pc=pc)
                 ready = result.ready
 
-                if features.luse:
-                    predicted_hit = load_use.predict_and_train(result.l1_hit)
+                if luse_on:
+                    predicted_hit = luse_train(result.l1_hit)
                     if predicted_hit and not result.l1_hit:
                         stats.loaduse_mispredicts += 1
                         ready += luse_cfg.squash_cycles
@@ -676,7 +670,7 @@ class AlphaPipeline:
                     entry = pending_stores.get(key)
                     if entry is not None and entry[1] > issue_time:
                         stats.store_replay_traps += 1
-                        if features.stwt:
+                        if stwt_on:
                             store_wait.record_trap(pc)
                         ready = entry[1] + trap_penalty
                         trap_redirect = ready
@@ -705,7 +699,7 @@ class AlphaPipeline:
                 consumer_ready = ready
             elif dyn.is_store:
                 resolve = issue_time + regread + 1
-                result = hier.store(resolve, dyn.eaddr)
+                result = store(resolve, dyn.eaddr)
                 if sanitizer is not None:
                     sanitizer.check_time("store", result.ready, pc=pc)
                 if not result.l1_hit:
@@ -732,7 +726,7 @@ class AlphaPipeline:
                 target_octa = dyn.next_pc & _OCTA_MASK
                 if klass is InstrClass.COND_BRANCH:
                     stats.branch_lookups += 1
-                    prediction = bpred.predict_and_train(pc, dyn.taken)
+                    prediction = bpred_train(pc, dyn.taken)
                     if prediction != dyn.taken:
                         stats.branch_mispredicts += 1
                         pending_fetch_at = max(
@@ -741,11 +735,9 @@ class AlphaPipeline:
                         )
                         force_new_fetch = True
                         if dyn.taken:
-                            line_pred.predict_and_train(octaword, target_octa)
+                            line_train(octaword, target_octa)
                     elif dyn.taken:
-                        predicted_line = line_pred.predict_and_train(
-                            octaword, target_octa
-                        )
+                        predicted_line = line_train(octaword, target_octa)
                         force_new_fetch = True
                         if predicted_line != target_octa:
                             stats.line_mispredicts += 1
@@ -766,9 +758,7 @@ class AlphaPipeline:
                 elif klass is InstrClass.UNCOND_BRANCH or (
                     klass is InstrClass.CALL and dyn.opcode is Opcode.BSR
                 ):
-                    predicted_line = line_pred.predict_and_train(
-                        octaword, target_octa
-                    )
+                    predicted_line = line_train(octaword, target_octa)
                     force_new_fetch = True
                     if predicted_line != target_octa:
                         stats.line_mispredicts += 1
@@ -792,14 +782,12 @@ class AlphaPipeline:
                         pending_fetch_at = max(
                             pending_fetch_at, fetch_time + jmp_penalty
                         )
-                    line_pred.predict_and_train(octaword, target_octa)
+                    line_train(octaword, target_octa)
                 else:
                     # Indirect jump or jsr: the line predictor is the
                     # only target predictor, and its misses cost the
                     # full 10-cycle flush (the slot adder cannot help).
-                    predicted_line = line_pred.predict_and_train(
-                        octaword, target_octa
-                    )
+                    predicted_line = line_train(octaword, target_octa)
                     force_new_fetch = True
                     if predicted_line != target_octa:
                         stats.jmp_mispredicts += 1
@@ -822,7 +810,7 @@ class AlphaPipeline:
             # ----------------------------------------------------------
             # Write-back / retire
             # ----------------------------------------------------------
-            if dest is not None and dest not in ("r31", "f31"):
+            if renames:
                 reg_ready[dest] = (consumer_ready, my_cluster)
 
             retire = complete + 1
@@ -855,10 +843,10 @@ class AlphaPipeline:
                 final_retire = retire
 
             rob_ring.append(retire)
-            if dest is not None and dest not in ("r31", "f31"):
+            if renames:
                 (fp_rename if is_fp_dest else int_rename).append(retire)
-            if features.stwt:
-                store_wait.tick()
+            if stwt_on:
+                tick()
 
             if observer is not None:
                 observer.commit(

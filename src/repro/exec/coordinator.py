@@ -128,9 +128,19 @@ class ShardCoordinator:
     options:
         A :class:`repro.exec.spec.RunOptions` carrying the execution
         envelope: ``shards`` (runner subprocesses to keep alive — the
-        lease pull pool), ``cache``, ``retries``,
-        ``checkpoint``/``resume``, ``ledger``, ``live_progress``, and
-        the single-cell options every runner measures cells under.
+        lease pull pool), ``cache``, ``retries``, ``ledger``,
+        ``live_progress``, the single-cell options every runner
+        measures cells under, and the journal fields.
+        ``options.checkpoint`` is the base journal path (or a
+        :class:`GridCheckpoint`, whose path is used): runner ``k``
+        journals to ``<base>.shard-<k>``, merged into ``<base>`` on
+        completion.  ``None`` journals in a private temporary
+        directory, removed however the run ends and never merged
+        (crash-safe against runner loss, but not resumable across
+        coordinator restarts).  ``options.resume`` loads ``<base>``
+        plus any surviving ``<base>.shard-*`` journals and commits
+        their cells before leasing anything — the coordinator-restart
+        recovery path.
         The two fabric budgets below stay keywords — they describe the
         coordinator, not the experiment; the lease size, renewal bound
         and poll interval are the module constants :data:`LEASE_SIZE`,
@@ -144,17 +154,6 @@ class ShardCoordinator:
         run (default ``2 * shards``).  With the budget exhausted and no
         survivors, remaining cells settle as ``kind="lost"`` failures
         instead of hanging.
-    checkpoint:
-        Base journal path (or a :class:`GridCheckpoint`, whose path is
-        used).  Runner ``k`` journals to ``<base>.shard-<k>``; on
-        completion the shard journals are merged into ``<base>``.
-        ``None`` uses a private temporary directory, removed however
-        the run ends (still crash-safe against runner loss, but not
-        resumable across coordinator restarts).
-    resume:
-        Load ``<base>`` plus any surviving ``<base>.shard-*`` journals
-        and commit their cells before leasing anything — the
-        coordinator-restart recovery path.
     transport_wrapper:
         Seam for tests and the chaos harness: called with
         ``(transport, runner_id)`` for each spawned runner and may
@@ -315,7 +314,10 @@ class ShardCoordinator:
                     InvariantViolation.from_dict(strict_violation[0])
                 )
 
-            self._merge_journals(base)
+            if tempdir is None:
+                # The private journal is deleted below: merging into
+                # it would be an fsynced write nobody reads.
+                self._merge_journals(base)
             return sink.grid(cells)
         finally:
             if tempdir is not None:

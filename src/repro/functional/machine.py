@@ -102,13 +102,21 @@ class FunctionalMachine:
         limit = self.limit
         code_base = program.code_base
 
+        # Decoded once per static instruction: the class, and the
+        # registers the timing models see as sources (the address base
+        # included).
+        klasses = [instr.opcode.klass for instr in instrs]
+        read_srcs = [
+            i.srcs if i.base is None else i.srcs + (i.base,) for i in instrs
+        ]
+
         index = program.entry
         seq = 0
         while True:
             if seq >= limit:
                 raise ExecutionLimitExceeded(program, limit)
             instr = instrs[index]
-            klass = instr.klass
+            klass = klasses[index]
             pc = code_base + index * 4
             slot = (pc >> 2) & 3
             taken = False
@@ -127,7 +135,7 @@ class FunctionalMachine:
                 pass
             elif klass is InstrClass.INT_ALU or klass is InstrClass.INT_MUL:
                 self._exec_int(instr)
-            elif klass.is_fp and not klass.is_memory:
+            elif klass.is_fp_operate:
                 self._exec_fp(instr)
             elif klass.is_memory:
                 eaddr, size = self._exec_memory(instr)
@@ -152,15 +160,10 @@ class FunctionalMachine:
                 raise NotImplementedError(f"unhandled class {klass}")
 
             next_pc = code_base + next_index * 4
-            # Timing models see the address register as a source.
-            srcs = (
-                instr.srcs + (instr.base,)
-                if instr.base is not None
-                else instr.srcs
-            )
             trace.append(
                 DynInstr(seq, index, pc, instr.opcode, instr.dest,
-                         srcs, taken, next_pc, eaddr, size, slot)
+                         read_srcs[index], taken, next_pc, eaddr, size,
+                         slot)
             )
             seq += 1
             index = next_index

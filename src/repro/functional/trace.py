@@ -62,7 +62,7 @@ class DynInstr:
         self.index = index
         self.pc = pc
         self.opcode = opcode
-        self.klass = opcode.klass
+        self.klass = klass = opcode.klass
         self.dest = dest
         self.srcs = srcs
         self.latency = opcode.latency
@@ -70,15 +70,15 @@ class DynInstr:
         self.next_pc = next_pc
         self.eaddr = eaddr
         self.size = size
-        self.is_load = self.klass.is_load
-        self.is_store = self.klass.is_store
-        self.is_control = self.klass.is_control
-        self.is_fp = self.klass.is_fp
+        self.is_load = klass.is_load
+        self.is_store = klass.is_store
+        self.is_control = klass.is_control
+        self.is_fp = klass.is_fp
         self.slot = slot
 
     @property
     def is_memory(self) -> bool:
-        return self.is_load or self.is_store
+        return self.klass.is_memory
 
     @property
     def is_nop(self) -> bool:

@@ -40,7 +40,12 @@ INSTRUCTIONS_PER_OCTAWORD = OCTAWORD_BYTES // INSTRUCTION_BYTES
 
 
 class InstrClass(enum.Enum):
-    """Timing class of an instruction (paper Table 1 rows)."""
+    """Timing class of an instruction (paper Table 1 rows).
+
+    Every member carries its static facts as plain attributes, derived
+    once at import (:func:`_derive_class_facts`) because the timing
+    models read them for every dynamic instruction.
+    """
 
     INT_ALU = "int_alu"
     INT_MUL = "int_mul"
@@ -62,51 +67,20 @@ class InstrClass(enum.Enum):
     NOP = "nop"
     HALT = "halt"
 
-    @property
-    def is_load(self) -> bool:
-        return self in (InstrClass.INT_LOAD, InstrClass.FP_LOAD)
-
-    @property
-    def is_store(self) -> bool:
-        return self in (InstrClass.INT_STORE, InstrClass.FP_STORE)
-
-    @property
-    def is_memory(self) -> bool:
-        return self.is_load or self.is_store
-
-    @property
-    def is_control(self) -> bool:
-        return self in (
-            InstrClass.COND_BRANCH,
-            InstrClass.UNCOND_BRANCH,
-            InstrClass.CALL,
-            InstrClass.RETURN,
-            InstrClass.JUMP,
-        )
-
-    @property
-    def is_fp(self) -> bool:
-        return self in (
-            InstrClass.FP_ADD,
-            InstrClass.FP_MUL,
-            InstrClass.FP_DIV_S,
-            InstrClass.FP_DIV_D,
-            InstrClass.FP_SQRT_S,
-            InstrClass.FP_SQRT_D,
-            InstrClass.FP_LOAD,
-            InstrClass.FP_STORE,
-        )
-
-    @property
-    def is_indirect_control(self) -> bool:
-        """Control whose target cannot be computed by the slot-stage adder.
-
-        The paper notes that ``jmp`` targets cannot be computed early and
-        each mispredicted ``jmp`` costs a 10-cycle pipeline flush.
-        Returns also use an indirect target but are predicted by the
-        return address stack.
-        """
-        return self in (InstrClass.RETURN, InstrClass.JUMP)
+    #: Dense 0-based position in declaration order, for per-simulator
+    #: lookup tables (indexing a tuple beats hashing an enum member).
+    ordinal: int
+    is_load: bool
+    is_store: bool
+    is_memory: bool
+    is_control: bool
+    is_fp: bool
+    #: FP but not a load/store: executes on the FP pipes.
+    is_fp_operate: bool
+    #: ``jmp`` and returns: no slot-stage adder can compute the target
+    #: (a mispredicted ``jmp`` costs a 10-cycle flush; returns are
+    #: predicted by the return address stack).
+    is_indirect_control: bool
 
 
 #: Execution latency per class, in cycles (paper Table 1).  Loads list
@@ -135,8 +109,39 @@ LATENCY = {
 }
 
 
+def _derive_class_facts() -> None:
+    loads = (InstrClass.INT_LOAD, InstrClass.FP_LOAD)
+    stores = (InstrClass.INT_STORE, InstrClass.FP_STORE)
+    indirect = (InstrClass.RETURN, InstrClass.JUMP)
+    control = (
+        InstrClass.COND_BRANCH, InstrClass.UNCOND_BRANCH, InstrClass.CALL,
+    ) + indirect
+    fp = (
+        InstrClass.FP_ADD, InstrClass.FP_MUL, InstrClass.FP_DIV_S,
+        InstrClass.FP_DIV_D, InstrClass.FP_SQRT_S, InstrClass.FP_SQRT_D,
+        InstrClass.FP_LOAD, InstrClass.FP_STORE,
+    )
+    for ordinal, klass in enumerate(InstrClass):
+        klass.ordinal = ordinal
+        klass.is_load = klass in loads
+        klass.is_store = klass in stores
+        klass.is_memory = klass.is_load or klass.is_store
+        klass.is_control = klass in control
+        klass.is_fp = klass in fp
+        klass.is_fp_operate = klass.is_fp and not klass.is_memory
+        klass.is_indirect_control = klass in indirect
+
+
+_derive_class_facts()
+
+
 class Opcode(enum.Enum):
-    """Concrete opcodes.  Each maps onto one :class:`InstrClass`."""
+    """Concrete opcodes.  Each maps onto one :class:`InstrClass`.
+
+    ``latency`` is the class's Table 1 latency; ``reads_dest`` marks the
+    conditional moves, whose old destination value is the result when
+    the condition fails (so it is a source operand too).
+    """
 
     # Integer ALU.
     ADDQ = ("addq", InstrClass.INT_ALU)
@@ -188,10 +193,8 @@ class Opcode(enum.Enum):
     def __init__(self, mnemonic: str, klass: InstrClass):
         self.mnemonic = mnemonic
         self.klass = klass
-
-    @property
-    def latency(self) -> int:
-        return LATENCY[self.klass]
+        self.latency = LATENCY[klass]
+        self.reads_dest = mnemonic.startswith("cmov")
 
 
 _BY_MNEMONIC = {op.mnemonic: op for op in Opcode}

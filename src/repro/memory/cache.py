@@ -10,7 +10,7 @@ DS-10L's L2 is 2MB direct mapped with 64-byte blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = ["CacheConfig", "CacheStats", "Cache", "AccessResult"]
 
@@ -54,8 +54,7 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of a tag lookup (timing applied by the hierarchy)."""
 
     hit: bool
@@ -70,9 +69,9 @@ class Cache:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._sets: List[List[Tuple[int, bool]]] = [
-            [] for _ in range(config.sets)
-        ]
+        # LRU-first (tag, dirty) lists, made on a set's first fill: a
+        # 32K-set L2 would otherwise cost 32K lists per simulator built.
+        self._sets: List[Sequence[Tuple[int, bool]]] = [()] * config.sets
         self._block_shift = config.block_bytes.bit_length() - 1
         self._set_mask = config.sets - 1
         if config.sets & (config.sets - 1):
@@ -97,17 +96,24 @@ class Cache:
         Returns hit/way/set and any eviction so the caller can route the
         victim to a victim buffer or schedule a write-back.
         """
-        block = self.block_of(address)
-        set_index = self.set_of(address)
+        line = address >> self._block_shift
+        block = line << self._block_shift
+        set_index = line & self._set_mask
         entries = self._sets[set_index]
+        if not entries:
+            entries = self._sets[set_index] = []
         self.stats.accesses += 1
 
-        for i, (tag, dirty) in enumerate(entries):
+        mru = len(entries) - 1
+        i = 0
+        for tag, dirty in entries:
             if tag == block:
-                entries.append(entries.pop(i))  # LRU refresh
+                if i < mru:
+                    entries.append(entries.pop(i))  # LRU refresh
                 if write and not dirty:
                     entries[-1] = (block, True)
-                return AccessResult(True, len(entries) - 1, set_index)
+                return AccessResult(True, mru, set_index)
+            i += 1
 
         self.stats.misses += 1
         evicted_block: Optional[int] = None
@@ -128,7 +134,10 @@ class Cache:
         Returns the evicted block address, if any.
         """
         block = self.block_of(address)
-        entries = self._sets[self.set_of(address)]
+        set_index = self.set_of(address)
+        entries = self._sets[set_index]
+        if not entries:
+            entries = self._sets[set_index] = []
         for i, (tag, was_dirty) in enumerate(entries):
             if tag == block:
                 entries.append(entries.pop(i))

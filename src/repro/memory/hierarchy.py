@@ -19,7 +19,7 @@ effects on; sim-alpha leaves them off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.dram.config import DramConfig
 from repro.dram.backends import make_dram
@@ -109,8 +109,7 @@ class MemoryHierarchyConfig:
     l2_set_conflict_traps: bool = False
 
 
-@dataclass(frozen=True)
-class LoadResult:
+class LoadResult(NamedTuple):
     """Timing and event flags for one data access."""
 
     ready: float
@@ -124,8 +123,7 @@ class LoadResult:
     l2_set_conflict: bool = False
 
 
-@dataclass(frozen=True)
-class IFetchResult:
+class IFetchResult(NamedTuple):
     ready: float
     l1_hit: bool
     way: int
@@ -329,9 +327,10 @@ class MemoryHierarchy:
 
     def _acquire_dport(self, time: float) -> float:
         """Grab one of the two D-cache ports at or after ``time``."""
-        index = 0 if self._dport_free[0] <= self._dport_free[1] else 1
-        start = max(time, self._dport_free[index])
-        self._dport_free[index] = start + 1
+        ports = self._dport_free
+        index = 0 if ports[0] <= ports[1] else 1
+        start = ports[index] if ports[index] > time else time
+        ports[index] = start + 1
         return start
 
     def load(self, time: float, vaddr: int, *, fp: bool = False) -> LoadResult:

@@ -60,18 +60,12 @@ class PageMapper:
     def __init__(self, config: PagingConfig | None = None):
         self.config = config or PagingConfig()
         self._page_shift = self.config.page_bytes.bit_length() - 1
+        self._offset_mask = self.config.page_bytes - 1
         self._frames: Dict[int, int] = {}
         self._num_frames = self.config.memory_bytes // self.config.page_bytes
         self._next_frame = 0
         # Per-colour bump cursors for the coloured policy.
         self._color_cursor: Dict[int, int] = {}
-
-    @property
-    def pages_mapped(self) -> int:
-        return len(self._frames)
-
-    def page_of(self, vaddr: int) -> int:
-        return vaddr >> self._page_shift
 
     def translate(self, vaddr: int) -> int:
         """Physical address for ``vaddr``, allocating on first touch."""
@@ -80,8 +74,7 @@ class PageMapper:
         if frame is None:
             frame = self._allocate(page)
             self._frames[page] = frame
-        offset = vaddr & (self.config.page_bytes - 1)
-        return (frame << self._page_shift) | offset
+        return (frame << self._page_shift) | (vaddr & self._offset_mask)
 
     def _allocate(self, page: int) -> int:
         policy = self.config.policy

@@ -47,6 +47,8 @@ class Tlb:
         page = vaddr >> self._page_shift
         self.stats.accesses += 1
         entries = self._entries
+        if entries and entries[-1] == page:
+            return True  # already most recently used
         try:
             entries.remove(page)
         except ValueError:

@@ -56,14 +56,11 @@ class LinePredictor:
         self._pending: list[tuple[int, int]] = []
         self.stats = PredictorStats()
 
-    def _index(self, octaword: int) -> int:
-        return (octaword // _OCTAWORD) & self._mask
-
     def predict(self, octaword: int) -> int:
         """Predicted next fetch octaword after fetching ``octaword``."""
-        index = self._index(octaword)
-        if index in self._table:
-            return self._table[index]
+        prediction = self._table.get((octaword // _OCTAWORD) & self._mask)
+        if prediction is not None:
+            return prediction
         if self.config.init_mode == "sequential":
             return octaword + _OCTAWORD
         return 0
@@ -74,11 +71,13 @@ class LinePredictor:
         Returns the prediction made before training.  ``actual_next``
         must already be octaword aligned.
         """
-        prediction = self.predict(octaword)
+        index = (octaword // _OCTAWORD) & self._mask
+        prediction = self._table.get(index)
+        if prediction is None:
+            prediction = self.predict(octaword)
         self.stats.lookups += 1
         if prediction != actual_next:
             self.stats.mispredictions += 1
-        index = self._index(octaword)
         if self.config.speculative_update:
             self._table[index] = actual_next
         else:

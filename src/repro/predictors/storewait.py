@@ -47,18 +47,15 @@ class StoreWaitPredictor:
         self._since_clear = 0
         self.stats = PredictorStats()
 
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) & self._mask
-
     def should_wait(self, pc: int) -> bool:
         """Whether the load at ``pc`` must wait for older stores."""
         self.stats.lookups += 1
-        return bool(self._bits[self._index(pc)])
+        return bool(self._bits[(pc >> 2) & self._mask])
 
     def record_trap(self, pc: int) -> None:
         """The load at ``pc`` caused a store replay trap: set its bit."""
         self.stats.mispredictions += 1
-        self._bits[self._index(pc)] = 1
+        self._bits[(pc >> 2) & self._mask] = 1
 
     def tick(self, retired: int = 1) -> None:
         """Advance the periodic clear timer by ``retired`` instructions."""

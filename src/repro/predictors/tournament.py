@@ -98,18 +98,16 @@ class TournamentPredictor:
 
     # ------------------------------------------------------------------
 
-    def _effective_ghist(self) -> int:
-        """History visible at prediction time."""
-        if self.config.speculative_update:
-            return self._ghist
-        return self._retired_ghist
-
     def predict(self, pc: int) -> bool:
         """Predicted direction for the branch at ``pc`` (no training)."""
         lidx = (pc >> 2) & self._local_index_mask
         lhist = self._local_history[lidx]
         local_taken = self._local.predict_taken(lhist)
-        ghist = self._effective_ghist()
+        # The history visible at prediction time.
+        ghist = (
+            self._ghist if self.config.speculative_update
+            else self._retired_ghist
+        )
         global_taken = self._global.predict_taken(ghist)
         use_global = self._choice.predict_taken(pc >> 2)
         return global_taken if use_global else local_taken
@@ -120,10 +118,11 @@ class TournamentPredictor:
         Returns the prediction made *before* training.
         """
         cfg = self.config
+        speculative = cfg.speculative_update
         lidx = (pc >> 2) & self._local_index_mask
         lhist = self._local_history[lidx]
         local_taken = self._local.predict_taken(lhist)
-        ghist = self._effective_ghist()
+        ghist = self._ghist if speculative else self._retired_ghist
         global_taken = self._global.predict_taken(ghist)
         use_global = self._choice.predict_taken(pc >> 2)
         prediction = global_taken if use_global else local_taken
@@ -137,15 +136,14 @@ class TournamentPredictor:
         if local_taken != global_taken:
             self._choice.update(pc >> 2, global_taken == taken)
         self._local.update(lhist, taken)
-        # The global table trains with the history used for prediction
-        # under the real (speculative) scheme; a non-speculative design
-        # trains at retire with the retired history, which matches what
-        # the delayed lookups will see.
-        train_hist = self._ghist if cfg.speculative_update else ghist
-        self._global.update(train_hist, taken)
+        # The global table trains with the history used for prediction:
+        # the true one under the real (speculative) scheme; a
+        # non-speculative design trains at retire with the retired
+        # history, which matches what the delayed lookups will see.
+        self._global.update(ghist, taken)
 
         # Advance histories with the true outcome.
-        if cfg.speculative_update:
+        if speculative:
             self._local_history[lidx] = (
                 ((lhist << 1) | int(taken)) & self._local_hist_mask
             )
@@ -159,7 +157,7 @@ class TournamentPredictor:
                     & self._local_hist_mask
                 )
         self._ghist = ((self._ghist << 1) | int(taken)) & self._ghist_mask
-        if not cfg.speculative_update:
+        if not speculative:
             self._pending.append(taken)
             while len(self._pending) > cfg.update_delay:
                 retired = self._pending.popleft()

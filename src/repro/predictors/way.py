@@ -36,22 +36,20 @@ class WayPredictor:
         self._table: dict[int, int] = {}
         self.stats = PredictorStats()
 
-    def _index(self, octaword: int) -> int:
-        return (octaword // _OCTAWORD) & self._mask
-
     def predict(self, octaword: int) -> int:
         """Predicted way for the fetch of ``octaword`` (0 when cold)."""
-        return self._table.get(self._index(octaword), 0)
+        return self._table.get((octaword // _OCTAWORD) & self._mask, 0)
 
     def predict_and_train(self, octaword: int, actual_way: int) -> int:
         """Predict the way and retrain with the way actually hit."""
         if not 0 <= actual_way < self.config.ways:
             raise ValueError(f"way {actual_way} out of range")
-        prediction = self.predict(octaword)
+        index = (octaword // _OCTAWORD) & self._mask
+        prediction = self._table.get(index, 0)
         self.stats.lookups += 1
         if prediction != actual_way:
             self.stats.mispredictions += 1
-        self._table[self._index(octaword)] = actual_way
+        self._table[index] = actual_way
         return prediction
 
 

@@ -40,6 +40,18 @@ from repro.result import RunStats, SimResult
 
 __all__ = ["OutOrderConfig", "SimOutOrder"]
 
+#: Functional-unit pool each instruction class issues to, indexed by
+#: ``InstrClass.ordinal``: 0 = integer ALU (memory and control
+#: included), 1 = integer multiplier, 2 = FP adder, 3 = FP multiplier
+#: (which also divides and takes square roots).
+_POOL = tuple(
+    1 if klass is InstrClass.INT_MUL
+    else 2 if klass is InstrClass.FP_ADD
+    else 3 if klass.is_fp_operate
+    else 0
+    for klass in InstrClass
+)
+
 
 @dataclass(frozen=True)
 class OutOrderConfig:
@@ -118,27 +130,14 @@ class SimOutOrder:
         commit_ports: Dict[int, int] = {}
         fetch_slots: Dict[int, int] = {}
 
-        units = {
-            "ialu": [0.0] * cfg.int_alu_units,
-            "imult": [0.0] * cfg.int_mult_units,
-            "falu": [0.0] * cfg.fp_alu_units,
-            "fmult": [0.0] * cfg.fp_mult_units,
-        }
-
-        def unit_kind(klass: InstrClass) -> str:
-            if klass is InstrClass.INT_MUL:
-                return "imult"
-            if klass in (
-                InstrClass.FP_MUL,
-                InstrClass.FP_DIV_S,
-                InstrClass.FP_DIV_D,
-                InstrClass.FP_SQRT_S,
-                InstrClass.FP_SQRT_D,
-            ):
-                return "fmult"
-            if klass.is_fp and not klass.is_memory:
-                return "falu"
-            return "ialu"
+        pools = (
+            [0.0] * cfg.int_alu_units,
+            [0.0] * cfg.int_mult_units,
+            [0.0] * cfg.fp_alu_units,
+            [0.0] * cfg.fp_mult_units,
+        )
+        block_shift = il1.config.block_bytes.bit_length() - 1
+        fetched_line = -1
 
         def dcache_latency(addr: int, write: bool) -> Tuple[float, bool]:
             hit = dl1.access(addr, write=write).hit
@@ -155,6 +154,7 @@ class SimOutOrder:
 
         for dyn in trace:
             klass = dyn.klass
+            pc = dyn.pc
 
             # Fetch: width-limited, cache-timed, alignment-free.
             fetch_at = max(pending_redirect, fetch_cursor)
@@ -164,14 +164,19 @@ class SimOutOrder:
             fetch_slots[cycle] = fetch_slots.get(cycle, 0) + 1
             fetch_time = float(cycle) if cycle > fetch_at else fetch_at
             fetch_cursor = float(cycle)
-            if not il1.access(dyn.pc).hit:
-                stats.icache_misses += 1
-                if ul2.access(dyn.pc).hit:
-                    fetch_time += cfg.l2_latency
-                else:
-                    fetch_time += cfg.dram_latency
-                # Fetch stalls behind an I-cache miss.
-                fetch_cursor = max(fetch_cursor, fetch_time)
+            # A fetch from the line fetched last is an MRU hit that
+            # changes no I-cache state (the cache is private to this
+            # run and its access count is never reported): skip it.
+            if pc >> block_shift != fetched_line:
+                fetched_line = pc >> block_shift
+                if not il1.access(pc).hit:
+                    stats.icache_misses += 1
+                    if ul2.access(pc).hit:
+                        fetch_time += cfg.l2_latency
+                    else:
+                        fetch_time += cfg.dram_latency
+                    # Fetch stalls behind an I-cache miss.
+                    fetch_cursor = max(fetch_cursor, fetch_time)
 
             if klass is InstrClass.HALT:
                 commit = max(fetch_time + cfg.front_depth + 1, last_commit)
@@ -180,6 +185,7 @@ class SimOutOrder:
                 continue
 
             # Dispatch: RUU / LSQ / (optional) rename occupancy.
+            is_memory = klass.is_memory
             dispatch = fetch_time + cfg.front_depth
             if len(ruu_ring) - ruu_head >= cfg.ruu_size:
                 oldest = ruu_ring[ruu_head]
@@ -189,7 +195,7 @@ class SimOutOrder:
                     ruu_head = 0
                 if oldest > dispatch:
                     dispatch = oldest
-            if dyn.is_memory and len(lsq_ring) - lsq_head >= cfg.lsq_size:
+            if is_memory and len(lsq_ring) - lsq_head >= cfg.lsq_size:
                 oldest = lsq_ring[lsq_head]
                 lsq_head += 1
                 if oldest > dispatch:
@@ -216,11 +222,13 @@ class SimOutOrder:
             ports[cycle] = ports.get(cycle, 0) + 1
             if cycle > issue_time:
                 issue_time = float(cycle)
-            pool = units[unit_kind(klass)]
-            best = min(range(len(pool)), key=lambda i: pool[i])
-            if pool[best] > issue_time:
-                issue_time = pool[best]
-            pool[best] = issue_time + 1
+            # The earliest-free unit of the class's pool (the first on
+            # ties).
+            pool = pools[_POOL[klass.ordinal]]
+            free = min(pool)
+            if free > issue_time:
+                issue_time = free
+            pool[pool.index(free)] = issue_time + 1
 
             # Execute.
             if dyn.is_load:
@@ -292,7 +300,7 @@ class SimOutOrder:
             final_commit = max(final_commit, commit)
 
             ruu_ring.append(commit)
-            if dyn.is_memory:
+            if is_memory:
                 lsq_ring.append(commit)
                 if lsq_head > 4096:
                     del lsq_ring[:lsq_head]

@@ -342,6 +342,43 @@ class TestCheckpointResume:
         assert os.path.exists(stale + ".stale")
 
 
+class TestPrivateJournal:
+    def test_merge_runs_only_for_a_callers_checkpoint(
+        self, monkeypatch, tmp_path
+    ):
+        """Without a checkpoint the shard journals live in a private
+        directory deleted when the run ends, so the coordinator merges
+        nothing into it; with one, the shard journals are merged into
+        the caller's base journal.  Counts the coordinator's own calls
+        (runner processes journal in their own memory)."""
+        from repro.integrity.checkpoint import GridCheckpoint
+
+        calls = []
+        for name in ("merge_from", "flush"):
+            real = getattr(GridCheckpoint, name)
+
+            def spy(self, *args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(GridCheckpoint, name, spy)
+
+        private = ShardCoordinator(
+            options=RunOptions(shards=2)
+        ).run_grid(fake_grid_factories(), WORKLOADS)
+        assert calls == []
+
+        checkpointed = ShardCoordinator(
+            options=RunOptions(
+                shards=2, checkpoint=str(tmp_path / "grid.journal")
+            )
+        ).run_grid(fake_grid_factories(), WORKLOADS)
+        assert calls.count("merge_from") >= 1
+        assert calls.count("flush") >= 1
+        assert checkpointed.to_json(canonical=True) == \
+            private.to_json(canonical=True)
+
+
 class TestShardStatus:
     def test_reports_entries_and_corruption(self, tmp_path):
         base = str(tmp_path / "grid.journal")
