@@ -21,23 +21,22 @@ workload, trace fingerprint, package version — so a second run over
 unchanged inputs is pure cache hits and serialises byte-identically to
 the run that populated the cache.
 
-For crash-safe distribution one level up, :class:`ShardCoordinator`
-(``RunOptions(shards=...)``) partitions the grid into work-stealing
-leases over :class:`ShardRunner` subprocesses, each journaling to its
-own fsynced :class:`~repro.integrity.GridCheckpoint`, so runner loss —
-or coordinator loss, with a checkpoint — never loses completed cells.
+The pool is also the crash-safe executor: a worker that dies mid-cell
+settles as a ``crash`` failure and is retried within ``retries``, and
+with ``RunOptions(checkpoint=..., resume=True)`` a grid whose parent
+was killed resumes from its fsynced
+:class:`~repro.integrity.GridCheckpoint` journal without recomputing a
+journaled cell.
 """
 
 # Exports resolve lazily (PEP 562): the spec module must be importable
 # from repro.validation.harness without this package init dragging in
-# engine/coordinator, which import harness right back.
+# the engine, which imports harness right back.
 _EXPORTS = {
     "CacheKey": "repro.exec.cache",
     "ResultCache": "repro.exec.cache",
     "fingerprint_trace": "repro.exec.cache",
     "instr_signature": "repro.exec.cache",
-    "ShardCoordinator": "repro.exec.coordinator",
-    "shard_status": "repro.exec.coordinator",
     "CellFailure": "repro.exec.engine",
     "ExperimentEngine": "repro.exec.engine",
     "grid_cells": "repro.exec.engine",
@@ -46,11 +45,6 @@ _EXPORTS = {
     "SpecError": "repro.exec.spec",
     "register_simulator": "repro.exec.spec",
     "simulator_registry": "repro.exec.spec",
-    "Lease": "repro.exec.shard",
-    "PipeTransport": "repro.exec.shard",
-    "ShardRunner": "repro.exec.shard",
-    "Transport": "repro.exec.shard",
-    "shard_journal_path": "repro.exec.shard",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -21,10 +21,9 @@ re-visited by every table.  This engine executes its cells
   every other cell still completes.
 
 Every settled cell goes through one :class:`Settlement` (result cache,
-checkpoint journal, run ledger, progress line), which the shard
-coordinator and runners share.  Results are inserted into the
-:class:`ResultGrid` in serial grid order, so every execution mode
-serialises identically.
+checkpoint journal, run ledger, progress line), in process or from the
+pool.  Results are inserted into the :class:`ResultGrid` in serial
+grid order, so every execution mode serialises identically.
 """
 
 from __future__ import annotations
@@ -81,37 +80,22 @@ class RetryBackoff:
     and attempt number rather than from a random source, so a given
     grid run schedules identically every time (determinism is a
     project invariant).
-
-    ``max_delay_s`` is an explicit hard ceiling on any single returned
-    delay, independent of how ``cap_s`` was (mis)configured: the retry
-    budget caps the *number* of attempts, but a re-leased shard
-    chaining backoffs through a pathological ``cap_s`` could otherwise
-    sleep for minutes while its lease expires under it.
     """
-
-    #: Hard ceiling on any single delay (seconds) unless overridden.
-    MAX_DELAY_S = 30.0
 
     def __init__(
         self,
         base_s: float = 0.05,
         cap_s: float = 2.0,
         jitter: float = 0.25,
-        max_delay_s: float = MAX_DELAY_S,
     ):
         if base_s < 0 or cap_s < 0 or not 0 <= jitter <= 1:
             raise ValueError(
                 f"invalid backoff (base_s={base_s}, cap_s={cap_s}, "
                 f"jitter={jitter})"
             )
-        if max_delay_s < 0:
-            raise ValueError(
-                f"invalid backoff ceiling (max_delay_s={max_delay_s})"
-            )
         self.base_s = base_s
         self.cap_s = cap_s
         self.jitter = jitter
-        self.max_delay_s = max_delay_s
 
     def delay(self, key: str, attempt: int) -> float:
         """Seconds to wait before retry number ``attempt`` (1-based)
@@ -119,7 +103,7 @@ class RetryBackoff:
         raw = min(self.cap_s, self.base_s * (2.0 ** max(0, attempt - 1)))
         digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
         fraction = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-        return min(raw * (1.0 - self.jitter * fraction), self.max_delay_s)
+        return raw * (1.0 - self.jitter * fraction)
 
 
 @dataclass
@@ -174,10 +158,9 @@ def grid_cells(
 
     Probes each factory once for its identity, builds every trace (the
     :class:`WorkloadSet` caches them for inheriting workers), and
-    content-addresses each cell when ``keyed``.  Shared by the engine
-    and the shard coordinator/runners: both sides derive their cell
-    lists — and therefore their cache-key digests — from this one
-    function, so a lease index refers to the same cell everywhere.
+    content-addresses each cell when ``keyed``.  The grid and
+    :meth:`ExperimentEngine.refresh_cell` both derive their cache-key
+    digests from this one function.
     """
     probes = []
     for factory in factories:
@@ -218,8 +201,8 @@ def with_backend(factories: Sequence[SimulatorFactory],
 
 
 class Settlement:
-    """Where the settled cells of one grid land, whichever executor
-    ran them: the result and failure maps, the result cache and the
+    """Where the settled cells of one grid land, in process or from
+    the pool: the result and failure maps, the result cache and the
     checkpoint journal (fresh results only), and the ``options``'
     run ledger and live progress line."""
 
@@ -234,9 +217,6 @@ class Settlement:
         self._owns_ledger = isinstance(ledger, (str, os.PathLike))
         self.ledger = RunLedger(ledger) if self._owns_ledger else ledger
         self.progress = GridProgress(total) if options.live_progress else None
-
-    def settled(self, index: int) -> bool:
-        return index in self.results or index in self.failures
 
     def result(self, cell: _Cell, result: SimResult, *,
                source: str = "run", attempts: int = 1) -> None:
@@ -296,8 +276,8 @@ def _worker_main(conn, engine, cell, instrumentation) -> None:
     # A Ctrl-C in the parent delivers SIGINT to the whole foreground
     # process group.  The parent owns shutdown (it terminates and joins
     # the pool); workers ignoring SIGINT turn that into one clean
-    # coordinator-side teardown instead of a KeyboardInterrupt
-    # traceback stampede from every pool worker.
+    # parent-side teardown instead of a KeyboardInterrupt traceback
+    # stampede from every pool worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     install_escalation_handler()
     try:
@@ -332,7 +312,9 @@ class ExperimentEngine:
         ``retries``, ``refresh`` (invalidate-and-recompute touched
         cache entries), ``checkpoint``/``resume`` (a
         :class:`repro.integrity.GridCheckpoint` or journal path;
-        resume satisfies already-journaled cells), ``ledger`` and
+        resume satisfies already-journaled cells, and a journal that
+        cannot be read raises before anything runs, leaving the file
+        as it was), ``ledger`` and
         ``live_progress``, and the single-cell options every cell runs
         under (``watchdog_s``, ``blockcache`` — mixed into cache keys
         whenever the fast path may engage — and ``dram_backend``).
@@ -407,13 +389,6 @@ class ExperimentEngine:
             keyed=self.cache is not None or self.checkpoint is not None,
         )
 
-    def settlement(self, total: int) -> Settlement:
-        """A :class:`Settlement` writing this engine's cache and
-        journal."""
-        return Settlement(
-            total, self.options, cache=self.cache, checkpoint=self.checkpoint
-        )
-
     # -- the grid ----------------------------------------------------------
 
     def run_grid(
@@ -432,16 +407,20 @@ class ExperimentEngine:
         workload)`` is called before each attempt.
         """
         self.metrics.gauge("exec.jobs").set(self.jobs)
+        if self.checkpoint is not None and self.options.resume:
+            # Outside the ``try``: a journal that cannot be read raises
+            # here, before the final flush could rewrite it.
+            self.metrics.gauge("exec.checkpoint.entries").set(
+                len(self.checkpoint.load())
+            )
         cells = self._cells(factories, list(workload_names))
-        sink = self.settlement(len(cells))
+        sink = Settlement(
+            len(cells), self.options,
+            cache=self.cache, checkpoint=self.checkpoint,
+        )
         try:
-            if self.checkpoint is not None and self.options.resume:
-                self.metrics.gauge("exec.checkpoint.entries").set(
-                    len(self.checkpoint.load())
-                )
             to_run = [
-                cell for cell in cells
-                if self._serve_hit(cell, sink) is None
+                cell for cell in cells if not self._serve_hit(cell, sink)
             ]
             if to_run and self.jobs > 1 and self._ctx is not None:
                 self._run_pool(to_run, sink, instrumentation, progress)
@@ -487,27 +466,27 @@ class ExperimentEngine:
 
     # -- one cell ----------------------------------------------------------
 
-    def _serve_hit(self, cell: _Cell, sink: Settlement) -> Optional[str]:
+    def _serve_hit(self, cell: _Cell, sink: Settlement) -> bool:
         """Settle ``cell`` from the checkpoint journal (resuming) or the
-        result cache and return which; ``None`` means it must run.
-        Refreshing drops the cell's cache entry instead."""
+        result cache; ``False`` means it must run.  Refreshing drops
+        the cell's cache entry instead."""
         if cell.key is None:
-            return None
+            return False
         if self.checkpoint is not None and self.options.resume:
             hit = self.checkpoint.get(cell.key.digest())
             if hit is not None:
                 self.metrics.counter("exec.checkpoint.resumed").inc()
                 sink.result(cell, hit, source="checkpoint")
-                return "checkpoint"
+                return True
         if self.cache is not None:
             if self.options.refresh:
                 self.cache.invalidate(cell.key)
-                return None
+                return False
             hit = self.cache.get(cell.key)
             if hit is not None:
                 sink.result(cell, hit, source="cache")
-                return "cache"
-        return None
+                return True
+        return False
 
     def _measure(self, factory: SimulatorFactory, workload: str,
                  instrumentation) -> CellOutcome:
@@ -541,7 +520,7 @@ class ExperimentEngine:
         return self.backoff.delay(f"{cell.sim_name}:{cell.workload}", attempt)
 
     def _run_inline(self, cell: _Cell, sink: Settlement, instrumentation,
-                    progress=None) -> None:
+                    progress) -> None:
         """Run one cell in process through its retry budget.
 
         No per-cell timeout applies here — there is no process to
@@ -558,24 +537,6 @@ class ExperimentEngine:
                 return
             time.sleep(self._backoff(cell, attempt))
             attempt += 1
-
-    def settle_cell(self, cell: _Cell, sink: Settlement, *,
-                    instrumentation=None) -> str:
-        """Settle one prepared cell into ``sink`` in process and return
-        where it came from (``"checkpoint"``, ``"cache"`` or ``"run"``).
-
-        The shard runner's per-lease entry point (cells come from
-        :func:`grid_cells`).  Journal and cache hits are served without
-        recompute — a re-granted lease over already-journaled cells
-        costs nothing — and fresh results are journaled and cached
-        before this returns, so the caller may acknowledge the cell as
-        durable.
-        """
-        source = self._serve_hit(cell, sink)
-        if source is None:
-            self._run_inline(cell, sink, instrumentation)
-            source = "run"
-        return source
 
     # -- the pool ------------------------------------------------------------
 

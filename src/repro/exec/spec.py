@@ -9,7 +9,7 @@ objects:
 
 * :class:`RunOptions` collapses the execution knobs that used to be
   ~15 ad-hoc keyword arguments (jobs, cache, timeout, retries,
-  checkpoint/resume, ledger, sanitizers, shards, blockcache, ...)
+  checkpoint/resume, ledger, sanitizers, blockcache, ...)
   into one value object with canonical JSON round-tripping;
 * :class:`ExperimentSpec` adds *what* to run — simulator names,
   workload names, per-simulator configuration overrides — on top of a
@@ -89,8 +89,7 @@ def _coerce_blockcache(value):
 class RunOptions:
     """How to execute a grid: the complete, typed set of execution
     options shared by ``Harness.run_grid``, :class:`~repro.exec.
-    engine.ExperimentEngine`, :class:`~repro.exec.coordinator.
-    ShardCoordinator`, the CLI, and the job service.
+    engine.ExperimentEngine`, the CLI, and the job service.
 
     Every field has a serial-safe default, so ``RunOptions()`` is the
     plain in-process serial run.  Instances are frozen; derive
@@ -115,8 +114,6 @@ class RunOptions:
     ledger: Optional[object] = None
     #: Render the live cells/s + ETA progress line.
     live_progress: bool = False
-    #: Crash-safe work-stealing shard runners (1 = no sharding).
-    shards: int = 1
     #: Arm the invariant sanitizers (quarantine violating cells).
     sanitize: bool = False
     #: With sanitize: abort on the first violation instead.
@@ -143,8 +140,6 @@ class RunOptions:
     def __post_init__(self):
         if int(self.jobs) < 1:
             raise SpecError(f"jobs must be >= 1 (got {self.jobs})")
-        if int(self.shards) < 1:
-            raise SpecError(f"shards must be >= 1 (got {self.shards})")
         if int(self.retries) < 0:
             raise SpecError(f"retries must be >= 0 (got {self.retries})")
         if self.timeout is not None and self.timeout <= 0:

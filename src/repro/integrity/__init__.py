@@ -19,9 +19,9 @@ layers:
   running simulators that *prove* the layers above actually detect
   each corruption class (the detection matrix);
 * :mod:`repro.integrity.chaos` — the same adversarial discipline one
-  level up: kill shard runners and coordinators, drop/duplicate/delay
-  their messages, corrupt their journals, and *prove* the sharded
-  execution fabric still produces byte-identical grids.
+  level up: SIGKILL a pool worker, kill a journaling parent and
+  resume, and *prove* the process pool still produces byte-identical
+  grids.
 """
 
 from repro.integrity.checkpoint import CheckpointConflict, GridCheckpoint

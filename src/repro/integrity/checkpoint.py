@@ -52,7 +52,7 @@ class CheckpointConflict(ValueError):
     agree canonically (volatile provenance/telemetry aside).  A
     mismatch means one of the journals is corrupt or the determinism
     invariant broke — silently keeping either payload would launder the
-    corruption into downstream grids, so merges raise instead of
+    corruption into downstream grids, so loading raises instead of
     last-write-wins."""
 
 
@@ -150,45 +150,13 @@ class GridCheckpoint:
         """Journal one completed cell; flushes every ``every`` records.
 
         A flush is *durable* (fsync, not just atomic-rename) before
-        this returns, so acknowledging the cell to a coordinator that
-        then stops re-leasing it can never be rolled back by a host
-        power loss."""
+        this returns, so a cell a resumed run skips can never be rolled
+        back by a host power loss."""
         self._entries[digest] = result
         self._recorded[digest] = time.time()
         self._dirty += 1
         if self._dirty >= self.every:
             self.flush()
-
-    def merge_from(self, path) -> int:
-        """Merge another journal's entries into this one (the shard-
-        journal merge) and return how many were new.
-
-        Entries whose digest we already hold are deduplicated when the
-        payloads agree canonically (byte-identical measurement; the
-        volatile provenance/telemetry fields are ignored) and raise
-        :class:`CheckpointConflict` when they do not — a silent
-        last-write-wins would launder a corrupted shard into the merged
-        grid.  The merge only updates memory; call :meth:`flush` to
-        persist it."""
-        other = GridCheckpoint(path)
-        loaded = other.load()
-        added = 0
-        for digest, incoming in loaded.items():
-            existing = self._entries.get(digest)
-            if existing is None:
-                self._entries[digest] = incoming
-                self._recorded[digest] = other._recorded.get(
-                    digest, time.time()
-                )
-                self._dirty += 1
-                added += 1
-            elif existing.canonical_dict() != incoming.canonical_dict():
-                raise CheckpointConflict(
-                    f"shard journal {other.path!r} conflicts with "
-                    f"{self.path!r} on digest {digest}: same cell "
-                    f"digest, different measurement (refusing to merge)"
-                )
-        return added
 
     def flush(self) -> None:
         """Atomically and durably rewrite the journal with every known

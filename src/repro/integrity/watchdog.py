@@ -73,7 +73,7 @@ class SimulationStuck(RuntimeError):
         #: Pipeline stage/port state at detection time (see
         #: :func:`record_heartbeat`): where in the loop the engine was,
         #: plus window/queue/port occupancies — what localises a hang
-        #: on a remote shard where no debugger can reach.
+        #: in a pool worker no debugger is attached to.
         self.state = state
 
 

@@ -65,9 +65,8 @@ class CellTelemetry:
     #: Process that produced the measurement (parent or worker).
     pid: int = 0
     #: Execution path that settled the cell: ``run`` (computed here),
-    #: ``cache``, ``checkpoint``, or ``shard-<k>`` (committed by shard
-    #: runner ``k``).  Operational provenance, not a measurement —
-    #: blanked with the rest of the telemetry under
+    #: ``cache`` or ``checkpoint``.  Operational provenance, not a
+    #: measurement — blanked with the rest of the telemetry under
     #: ``ResultGrid.to_json(canonical=True)``.
     source: str = "run"
 

@@ -132,12 +132,11 @@ class SimResult:
     def canonical_dict(self) -> Dict:
         """:meth:`to_dict` with the run-to-run volatile fields blanked
         (wall-clock provenance, resource telemetry — including the
-        ``telemetry.source`` execution-path tag such as
-        ``"shard-<k>"``), so two results
-        compare equal iff they measured the same thing.  This is the
-        payload form ``ResultGrid.to_json(canonical=True)`` serialises
-        and the one checkpoint merges compare when deciding whether two
-        entries under the same digest agree or conflict."""
+        ``telemetry.source`` execution-path tag such as ``"cache"``),
+        so two results compare equal iff they measured the same thing.
+        This is the payload form ``ResultGrid.to_json(canonical=True)``
+        serialises and the one a checkpoint load compares when deciding
+        whether two entries under the same digest agree or conflict."""
         entry = self.to_dict()
         if entry.get("provenance"):
             entry["provenance"] = {

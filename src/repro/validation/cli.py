@@ -364,7 +364,7 @@ def run_profile_command(
 
 #: Runners take (quick, engine) where ``engine`` holds the shared
 #: ``harness=`` (whose :class:`~repro.exec.spec.RunOptions` carry the
-#: jobs/cache/shards selection) for drivers that run
+#: jobs/cache/checkpoint selection) for drivers that run
 #: (simulator x workload) grids; runners whose experiment has no grid
 #: simply ignore it.
 _EXPERIMENTS: Dict[str, Callable[[bool, Dict], str]] = {
@@ -397,25 +397,23 @@ def main(argv=None) -> int:
         "experiment",
         choices=sorted(_EXPERIMENTS) + [
             "all", "trace", "integrity", "checkpoint-gc",
-            "profile", "bench", "blockcache-check", "cache-gc",
-            "chaos", "shard-status",
+            "profile", "bench", "blockcache-check", "cache-gc", "chaos",
         ],
         help="which experiment to run, 'trace' to instrument one run, "
              "'profile' for hot-path wall-time attribution, 'bench' "
              "for the pinned performance suite, 'blockcache-check' to "
              "audit fast-path/detailed byte equivalence (exit 5 on "
              "divergence), 'integrity' to run "
-             "the fault-injection matrix, 'chaos' to run the sharded-"
-             "execution chaos scenarios (exit 1 on any violation), "
-             "'shard-status' to inspect a sharded run's journals, "
-             "'checkpoint-gc' to prune a "
-             "grid journal, or 'cache-gc' to prune a result cache",
+             "the fault-injection matrix, 'chaos' to run the process-"
+             "pool chaos scenarios (exit 1 on any violation), "
+             "'checkpoint-gc' to prune a grid journal, or 'cache-gc' "
+             "to prune a result cache",
     )
     parser.add_argument(
         "workload", nargs="?", default=None,
         help="workload to trace/profile (e.g. M-D or gzip), journal "
-             "path (checkpoint-gc, shard-status), cache directory "
-             "(cache-gc), or scenario name (chaos; omit to run all)",
+             "path (checkpoint-gc), cache directory (cache-gc), or "
+             "scenario name (chaos; omit to run all)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -445,13 +443,6 @@ def main(argv=None) -> int:
         "--jobs", type=int, default=1, metavar="N",
         help="fan grid cells out over N worker processes "
              "(default: 1, serial)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="run grids over N crash-safe work-stealing shard runner "
-             "processes (worker loss is recovered from fsynced shard "
-             "journals; combine with --checkpoint for coordinator-"
-             "crash resume; default: 1, no sharding)",
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default="",
@@ -570,8 +561,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1 (got {args.jobs})")
-    if args.shards < 1:
-        parser.error(f"--shards must be >= 1 (got {args.shards})")
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint FILE")
     if args.stuck_after is not None and args.stuck_after <= 0:
@@ -687,27 +676,6 @@ def main(argv=None) -> int:
         failed = [o.scenario for o in report.outcomes if not o.passed]
         print("CHAOS VIOLATIONS: " + ", ".join(failed), file=sys.stderr)
         return ExitCode.FAILURE
-
-    if args.experiment == "shard-status":
-        from repro.exec.coordinator import shard_status
-
-        base = args.workload or args.checkpoint
-        if not base:
-            parser.error(
-                "shard-status requires a journal base path "
-                "(positional or --checkpoint FILE)"
-            )
-        status = shard_status(base)
-        if not status["journals"]:
-            print(f"{base}: no journals found")
-            return ExitCode.USAGE
-        for record in status["journals"]:
-            print(
-                f"{record['path']}: {record['entries']} entries "
-                f"[{record['state']}]"
-            )
-        print(f"{status['distinct_digests']} distinct cells journaled")
-        return ExitCode.OK
 
     if args.experiment == "cache-gc":
         from repro.exec.cache import ResultCache
@@ -839,7 +807,6 @@ def main(argv=None) -> int:
         ledger=args.ledger or None,
         live_progress=args.progress,
         blockcache=blockcache,
-        shards=args.shards,
         dram_backend=args.dram_backend or None,
     )
     harness = Harness(

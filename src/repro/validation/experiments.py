@@ -208,9 +208,9 @@ def table2_micro(
     """Native vs sim-initial vs sim-alpha vs sim-outorder on the 21
     microbenchmarks.
 
-    ``options`` picks the execution engine (``jobs``, ``cache``,
-    ``shards`` — see :class:`~repro.exec.spec.RunOptions`); by default
-    the grid inherits the harness's own options.
+    ``options`` picks the execution envelope (``jobs``, ``cache``,
+    ``checkpoint`` — see :class:`~repro.exec.spec.RunOptions`); by
+    default the grid inherits the harness's own options.
     """
     harness = harness or Harness()
     names = list(benchmarks or micro_names())

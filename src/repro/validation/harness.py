@@ -87,16 +87,15 @@ class CellFailure:
     budget, instead of aborting the rest of the grid: ``"exception"``
     for a cell that raised, ``"invariant"`` for a result quarantined by
     the sanitizers (the violated invariants land in ``snapshot``),
-    ``"stuck"`` for a detected livelock, and the failures only an
-    executor can see — ``"crash"`` (a pool worker died),
-    ``"timeout"`` (a pool worker exceeded its budget) and ``"lost"``
-    (no shard runner survived to run the cell).
+    ``"stuck"`` for a detected livelock, and the failures only the
+    pool can see — ``"crash"`` (a worker died) and ``"timeout"`` (a
+    worker exceeded its budget).
     """
 
     simulator: str
     workload: str
     #: One of ``"exception"``, ``"invariant"``, ``"stuck"``,
-    #: ``"crash"``, ``"timeout"``, ``"lost"``.
+    #: ``"crash"``, ``"timeout"``.
     kind: str
     message: str = ""
     #: Total attempts made (1 + retries).
@@ -364,8 +363,8 @@ def run_cell(
     """Measure one (simulator, workload) cell and classify how it ended.
 
     The one cell path: :meth:`Harness.run_one`, the engine's in-process
-    loop, its forked pool workers and the shard runners all measure
-    cells here, so a cell ends the same way however it is scheduled.
+    loop and its forked pool workers all measure cells here, so a cell
+    ends the same way however it is scheduled.
     A fresh simulator from ``factory`` (under ``options.dram_backend``)
     runs ``trace`` with the instrumentation observer, a sanitizer from
     ``sanitizers``, the ``options.watchdog_s`` livelock watchdog and
@@ -513,29 +512,25 @@ class Harness:
 
         ``options`` (a :class:`repro.exec.spec.RunOptions`) carries
         every execution knob — jobs, cache, timeout, retries,
-        checkpoint/resume, ledger, live_progress, shards, sanitize,
+        checkpoint/resume, ledger, live_progress, sanitize,
         watchdog_s, blockcache, dram_backend — merged over the
         harness-level options (a field left at its default inherits the
-        harness's value).  ``shards > 1`` runs the grid on the
-        crash-safe work-stealing
-        :class:`~repro.exec.coordinator.ShardCoordinator`; anything
-        else on the :class:`~repro.exec.engine.ExperimentEngine` (in
-        process at ``jobs=1``, over forked workers above).  Either way
-        each cell is measured by :func:`run_cell`, so a failing cell
-        becomes the same :class:`CellFailure` in every mode, and strict
-        sanitizer bundles raise :class:`IntegrityError`.
+        harness's value).  The grid runs on the
+        :class:`~repro.exec.engine.ExperimentEngine` (in process at
+        ``jobs=1``, over forked workers above), where each cell is
+        measured by :func:`run_cell`, so a failing cell becomes the
+        same :class:`CellFailure` in every mode, and strict sanitizer
+        bundles raise :class:`IntegrityError`.
 
         ``progress(simulator, workload)`` is called before each cell;
         with a metrics registry attached, each in-process cell's wall
         time is also recorded under
         ``harness.cell.<simulator>.<workload>``.
         """
+        from repro.exec.engine import ExperimentEngine
+
         opts = (options or RunOptions()).merged_over(self.options)
-        if opts.shards > 1:
-            from repro.exec.coordinator import ShardCoordinator as executor
-        else:
-            from repro.exec.engine import ExperimentEngine as executor
-        grid = executor(
+        grid = ExperimentEngine(
             self.workloads, opts,
             metrics=self.metrics, sanitizers=self._sanitizers_for(opts),
         ).run_grid(

@@ -40,38 +40,10 @@ class TestRetryBackoff:
         {"cap_s": -1.0},
         {"jitter": 1.5},
         {"jitter": -0.1},
-        {"max_delay_s": -1.0},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RetryBackoff(**kwargs)
-
-    def test_max_delay_ceiling_bounds_pathological_cap(self):
-        """Regression: a misconfigured cap_s must not schedule sleeps
-        past the explicit max_delay_s ceiling — a re-leased shard
-        chaining such delays would outlive its lease."""
-        backoff = RetryBackoff(base_s=10.0, cap_s=3600.0, jitter=0.0)
-        delays = [backoff.delay("k", attempt) for attempt in range(1, 12)]
-        assert max(delays) <= RetryBackoff.MAX_DELAY_S
-        assert delays[-1] == RetryBackoff.MAX_DELAY_S
-
-    def test_max_delay_custom_ceiling_honoured(self):
-        backoff = RetryBackoff(
-            base_s=1.0, cap_s=100.0, jitter=0.0, max_delay_s=5.0
-        )
-        assert backoff.delay("k", 10) == 5.0
-        assert all(
-            backoff.delay("k", attempt) <= 5.0
-            for attempt in range(1, 20)
-        )
-
-    def test_max_delay_does_not_disturb_sane_schedules(self):
-        """The ceiling is a backstop: schedules already under it are
-        byte-for-byte what they were before the ceiling existed."""
-        capped = RetryBackoff(base_s=0.05, cap_s=2.0, jitter=0.0)
-        delays = [capped.delay("k", attempt) for attempt in range(1, 9)]
-        assert delays[:4] == [0.05, 0.1, 0.2, 0.4]
-        assert delays[-1] == 2.0
 
 
 class TestEngineUsesBackoff:

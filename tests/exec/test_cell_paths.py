@@ -4,23 +4,23 @@ the same way.
 A grid of fake simulators — one clean, one raising, one livelocked,
 one violating an invariant — must serialise byte-identically (failures
 included) whether it runs in process, through the result cache, on the
-forked pool, or across shard runners; and the single-cell options
-(here ``dram_backend``) must reach every executor.
+forked pool, or on the pool resumed from a journal of the same grid
+(failures are never journaled, so they re-run); and the single-cell
+options (here ``dram_backend``) must reach every executor.
 """
 
 import multiprocessing
-import os
-import tempfile
 from dataclasses import dataclass
 
 import pytest
 
 from repro.core.simalpha import SimAlpha
-from repro.exec.coordinator import ShardCoordinator
 from repro.exec.engine import ExperimentEngine
 from repro.exec.spec import RunOptions
+from repro.integrity.checkpoint import GridCheckpoint
 from repro.integrity.sanitizers import IntegrityError, Sanitizers
 from repro.integrity.watchdog import SimulationStuck
+from repro.obs.registry import MetricsRegistry
 from repro.result import RunStats, SimResult
 from repro.validation.harness import Harness, ResultGrid
 from repro.workloads.suite import WorkloadSet
@@ -29,7 +29,7 @@ pytestmark = [
     pytest.mark.exec_pool,
     pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the pool and shard modes require the fork start method",
+        reason="the pool modes require the fork start method",
     ),
 ]
 
@@ -79,27 +79,36 @@ def factories():
     ]
 
 
-def modes(tmp_path):
-    return {
-        "in-process": RunOptions(),
-        "cache": RunOptions(cache=str(tmp_path / "cache")),
-        "jobs=2": RunOptions(jobs=2),
-        "shards=2": RunOptions(shards=2),
-    }
-
-
 @pytest.fixture(scope="module")
 def workloads():
     return WorkloadSet()
 
 
-def test_failures_are_identical_in_every_mode(tmp_path, workloads):
-    outputs = {
-        mode: Harness(workloads, sanitizers=Sanitizers()).run_grid(
-            factories(), NAMES, options,
-        ).to_json(canonical=True)
-        for mode, options in modes(tmp_path).items()
+@pytest.fixture
+def modes(tmp_path, workloads):
+    journal = str(tmp_path / "grid.journal")
+    Harness(workloads, sanitizers=Sanitizers()).run_grid(
+        factories(), NAMES, RunOptions(checkpoint=journal),
+    )
+    assert len(GridCheckpoint(journal).load()) == len(NAMES)  # clean only
+    return {
+        "in-process": RunOptions(),
+        "cache": RunOptions(cache=str(tmp_path / "cache")),
+        "jobs=2": RunOptions(jobs=2),
+        "resume": RunOptions(jobs=2, checkpoint=journal, resume=True),
     }
+
+
+def test_failures_are_identical_in_every_mode(workloads, modes):
+    metrics = MetricsRegistry()
+    outputs = {
+        mode: Harness(
+            workloads, sanitizers=Sanitizers(), metrics=metrics,
+        ).run_grid(factories(), NAMES, options).to_json(canonical=True)
+        for mode, options in modes.items()
+    }
+    counters = metrics.snapshot()["counters"]
+    assert counters["exec.checkpoint.resumed"] == len(NAMES)
     reference = outputs.pop("in-process")
     for mode, output in outputs.items():
         assert output == reference, f"{mode} diverged from in-process"
@@ -122,25 +131,13 @@ def test_failures_are_identical_in_every_mode(tmp_path, workloads):
 
 
 @pytest.mark.parametrize(
-    "mode", ["in-process", "cache", "jobs=2", "shards=2"]
+    "mode", ["in-process", "cache", "jobs=2", "resume"]
 )
-def test_strict_sanitizers_raise_in_every_mode(tmp_path, workloads, mode):
+def test_strict_sanitizers_raise_in_every_mode(workloads, modes, mode):
     harness = Harness(workloads, sanitizers=Sanitizers(strict=True))
     with pytest.raises(IntegrityError) as excinfo:
-        harness.run_grid(factories(), NAMES, modes(tmp_path)[mode])
+        harness.run_grid(factories(), NAMES, modes[mode])
     assert excinfo.value.violation.invariant == "ipc_bound"
-
-
-def test_strict_shard_grid_leaves_no_temp_dir(
-    tmp_path, monkeypatch, workloads,
-):
-    """Without a checkpoint the coordinator journals into a private
-    temporary directory, which must go even when the grid raises."""
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    harness = Harness(workloads, sanitizers=Sanitizers(strict=True))
-    with pytest.raises(IntegrityError):
-        harness.run_grid(factories(), NAMES, RunOptions(shards=2))
-    assert os.listdir(tmp_path) == []
 
 
 def test_dram_backend_reaches_every_executor(workloads):
@@ -169,9 +166,6 @@ def test_dram_backend_reaches_every_executor(workloads):
         "refresh_cell": ExperimentEngine(workloads, options).refresh_cell(
             ResultGrid(), SimAlpha, "M-D"
         ),
-        "coordinator": one(ShardCoordinator(
-            workloads, options.replace(shards=2)
-        ).run_grid([SimAlpha], ["M-D"])),
         "Harness.run_grid": one(harness.run_grid(
             [SimAlpha], ["M-D"], options
         )),

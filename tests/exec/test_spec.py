@@ -34,7 +34,6 @@ _run_options = st.builds(
     resume=st.booleans(),
     ledger=st.none() | _names,
     live_progress=st.booleans(),
-    shards=st.integers(min_value=1, max_value=4),
     sanitize=st.booleans(),
     strict=st.booleans(),
     watchdog_s=st.none() | st.floats(min_value=0.5, max_value=60.0,
@@ -142,6 +141,9 @@ def test_unknown_spec_key_rejected():
 def test_unknown_options_key_rejected():
     with pytest.raises(SpecError, match="unknown RunOptions key"):
         RunOptions.from_dict({"jobs": 2, "n_workers": 4})
+    # A job spec queued before the shard fabric was deleted.
+    with pytest.raises(SpecError, match="unknown RunOptions key"):
+        RunOptions.from_dict({"shards": 1})
 
 
 def test_empty_grid_rejected():
@@ -178,11 +180,11 @@ def test_merged_over_explicit_fields_win():
 
 
 def test_trimmed_keeps_only_single_cell_options():
-    options = RunOptions(jobs=8, shards=3, cache="x", sanitize=True,
+    options = RunOptions(jobs=8, cache="x", sanitize=True,
                          strict=True, watchdog_s=5.0)
     single = options.trimmed()
     assert single.sanitize and single.strict
     assert single.watchdog_s == 5.0
-    assert single.jobs == 1 and single.shards == 1
+    assert single.jobs == 1
     assert single.cache is None
 

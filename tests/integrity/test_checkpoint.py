@@ -43,6 +43,21 @@ class TestJournal:
         with pytest.raises(ValueError):
             GridCheckpoint(path).load()
 
+    def test_load_detects_on_disk_conflict(self, tmp_path):
+        """Two different measurements under one digest, one in memory
+        and one on disk (a concurrent writer went insane), are refused
+        rather than last-write-wins."""
+        from repro.integrity.checkpoint import CheckpointConflict
+
+        path = tmp_path / "grid.ckpt"
+        GridCheckpoint(path).record("d1", make_result())
+        mine = GridCheckpoint(path, every=10)  # defer the flush
+        mine.record("d1", SimResult(
+            "sim-alpha", "C-R", cycles=777.0, instructions=50
+        ))
+        with pytest.raises(CheckpointConflict):
+            mine.load()
+
     def test_every_n_batches_flushes(self, tmp_path):
         path = tmp_path / "grid.ckpt"
         checkpoint = GridCheckpoint(path, every=3)
@@ -253,6 +268,25 @@ class TestResume:
         snap = registry.snapshot()
         assert "exec.checkpoint.resumed" not in snap["counters"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("content", [
+        "{corrupt",
+        '{"format": "something-else", "cells": {}}',
+    ], ids=["corrupt", "wrong-format"])
+    def test_refused_journal_is_left_untouched(self, tmp_path, content,
+                                               jobs):
+        """A journal ``--resume`` cannot read raises, and stays on disk
+        byte for byte: the grid must not flush an empty journal over
+        the file it refused."""
+        path = tmp_path / "grid.ckpt"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ValueError):
+            Harness().run_grid(
+                [SimAlpha], ["C-Ca"],
+                RunOptions(checkpoint=str(path), resume=True, jobs=jobs),
+            )
+        assert path.read_text(encoding="utf-8") == content
+
     def test_harness_level_checkpoint_defaults(self, tmp_path):
         """The CLI configures checkpoint/resume on the harness; grids
         run without explicit arguments must still journal."""
@@ -264,100 +298,12 @@ class TestResume:
         assert len(GridCheckpoint(path).load()) == 1
 
 
-class TestShardJournalMerge:
-    """merge_from: shard journals combine by digest — identical
-    payloads dedup, conflicting payloads must raise."""
-
-    def _journal(self, path, entries):
-        checkpoint = GridCheckpoint(path)
-        for digest, result in entries:
-            checkpoint.record(digest, result)
-        checkpoint.flush()
-        return checkpoint
-
-    def test_merge_disjoint_journals_unions_entries(self, tmp_path):
-        main = self._journal(
-            tmp_path / "a.ckpt", [("d1", make_result(workload="C-R"))]
-        )
-        self._journal(
-            tmp_path / "b.ckpt", [("d2", make_result(workload="E-I"))]
-        )
-        added = main.merge_from(tmp_path / "b.ckpt")
-        assert added == 1
-        main.flush()
-        assert set(GridCheckpoint(tmp_path / "a.ckpt").load()) == \
-            {"d1", "d2"}
-
-    def test_same_digest_identical_payload_dedups(self, tmp_path):
-        """Two shards that both computed a cell (a stolen lease whose
-        first owner survived) merge without complaint or duplication."""
-        result = make_result()
-        main = self._journal(tmp_path / "a.ckpt", [("d1", result)])
-        self._journal(tmp_path / "b.ckpt", [("d1", make_result())])
-        assert main.merge_from(tmp_path / "b.ckpt") == 0
-        assert len(main) == 1
-
-    def test_same_digest_volatile_fields_still_dedup(self, tmp_path):
-        """Honest recomputes differ in volatile provenance (created,
-        host) and telemetry; the merge compares canonically and must
-        treat them as the same measurement."""
-        from repro.obs.provenance import RunProvenance
-        from repro.obs.telemetry import CellTelemetry
-
-        first = make_result()
-        first.provenance = RunProvenance(
-            config_hash="c1", created="2026-01-01T00:00:00Z",
-            host="host-a",
-        )
-        first.telemetry = CellTelemetry(wall_s=1.0)
-        second = make_result()
-        second.provenance = RunProvenance(
-            config_hash="c1", created="2026-02-02T02:02:02Z",
-            host="host-b",
-        )
-        second.telemetry = CellTelemetry(wall_s=9.0)
-        main = self._journal(tmp_path / "a.ckpt", [("d1", first)])
-        self._journal(tmp_path / "b.ckpt", [("d1", second)])
-        assert main.merge_from(tmp_path / "b.ckpt") == 0
-        assert len(main) == 1
-
-    def test_same_digest_conflicting_payload_raises(self, tmp_path):
-        """A digest collision with different measurements is corruption
-        or broken determinism: the merge must raise, never
-        last-write-win."""
-        from repro.integrity.checkpoint import CheckpointConflict
-
-        main = self._journal(tmp_path / "a.ckpt", [("d1", make_result())])
-        conflicting = SimResult(
-            "sim-alpha", "C-R", cycles=999.0, instructions=50
-        )
-        self._journal(tmp_path / "b.ckpt", [("d1", conflicting)])
-        with pytest.raises(CheckpointConflict):
-            main.merge_from(tmp_path / "b.ckpt")
-        # And the surviving entry is the original, untouched.
-        assert main.load()["d1"].cycles == 100.0
-
-    def test_load_detects_on_disk_conflict(self, tmp_path):
-        """The same refusal applies when the conflict is between
-        memory and disk (a concurrent writer went insane)."""
-        from repro.integrity.checkpoint import CheckpointConflict
-
-        path = tmp_path / "grid.ckpt"
-        self._journal(path, [("d1", make_result())])
-        mine = GridCheckpoint(path, every=10)  # defer the flush
-        mine.record("d1", SimResult(
-            "sim-alpha", "C-R", cycles=777.0, instructions=50
-        ))
-        with pytest.raises(CheckpointConflict):
-            mine.load()
-
-
 class TestDurability:
     def test_record_fsyncs_before_returning(self, tmp_path, monkeypatch):
         """A recorded cell must be durable (file fsync + rename +
-        directory fsync) before record() returns — the shard runner
-        acknowledges the cell to the coordinator immediately after,
-        and an acknowledged cell must survive power loss."""
+        directory fsync) before record() returns — a resumed run skips
+        every journaled cell, so a recorded cell must survive power
+        loss."""
         synced = []
         real_fsync = os.fsync
         monkeypatch.setattr(
