@@ -19,6 +19,11 @@ probe (digest collision, hand-edited file) or an unreadable entry is
 *invalidated* — deleted and recomputed — rather than trusted.  Hits
 return the stored result verbatim, provenance included, so a warm run
 serialises byte-identically to the run that populated the cache.
+
+Every entry is written by :func:`atomic_write`, the package's one
+durable writer (the grid journal, the job service's status and result
+files and its quota ledger use it too), so an entry that exists is
+complete and a stored entry survives power loss.
 """
 
 from __future__ import annotations
@@ -36,8 +41,51 @@ from repro.obs.registry import MetricsRegistry
 from repro.result import SimResult
 
 __all__ = [
-    "CacheKey", "ResultCache", "fingerprint_trace", "instr_signature",
+    "CacheKey", "ResultCache", "atomic_write", "fingerprint_trace",
+    "instr_signature",
 ]
+
+
+def atomic_write(path, text: str) -> None:
+    """Replace the file at ``path`` with ``text``, atomically and
+    durably.
+
+    Writes a ``*.tmp`` file in the target's directory, fsyncs it,
+    renames it over ``path`` (``os.replace``) and fsyncs the directory,
+    so a reader never sees a torn file and a completed write survives
+    power loss; on failure the temp file is removed and the target is
+    left as it was.  The temp name starts with the target's, so a
+    leftover from a killed writer says what it was for
+    (:meth:`ResultCache.gc` ages such leftovers out).
+    """
+    path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    fd, tmp_path = tempfile.mkstemp(
+        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+    try:
+        # Persist the rename itself: without the directory fsync a
+        # power loss can roll the file back to its previous contents
+        # even though the caller was told the write landed.
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:  # pragma: no cover - platform without dir fsync
+        pass
 
 
 def instr_signature(dyn) -> tuple:
@@ -194,31 +242,17 @@ class ResultCache:
         return payload
 
     def put(self, key: CacheKey, result: SimResult) -> None:
-        """Store ``result`` under ``key`` (atomically; overwrites)."""
+        """Store ``result`` under ``key``, atomically and durably
+        (overwrites): once this returns, the entry survives a crash or
+        power loss, so a resumed grid may skip the cell."""
         payload = {
             "format": "repro-result-cache/1",
             "key": key.to_dict(),
             "result": result.to_dict(),
         }
-        handle, tmp_path = tempfile.mkstemp(
-            dir=self.root, suffix=".tmp", prefix=key.digest()
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                json.dump(payload, tmp, sort_keys=True)
-            os.replace(tmp_path, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(key), json.dumps(payload, sort_keys=True))
         self.stores += 1
         self._count("stores")
-
-    def invalidate(self, key: CacheKey) -> bool:
-        """Explicitly drop ``key``'s entry (the refresh path)."""
-        return self._drop(self._path(key))
 
     def _unlink(self, path: str) -> bool:
         try:

@@ -158,9 +158,7 @@ def grid_cells(
 
     Probes each factory once for its identity, builds every trace (the
     :class:`WorkloadSet` caches them for inheriting workers), and
-    content-addresses each cell when ``keyed``.  The grid and
-    :meth:`ExperimentEngine.refresh_cell` both derive their cache-key
-    digests from this one function.
+    content-addresses each cell when ``keyed``.
     """
     probes = []
     for factory in factories:
@@ -309,12 +307,11 @@ class ExperimentEngine:
         wall-clock budget, pool mode; an expired worker is escalated
         over SIGUSR1 with ``escalation_grace_s`` to dump a
         :class:`SimulationStuck` diagnosis, then terminated),
-        ``retries``, ``refresh`` (invalidate-and-recompute touched
-        cache entries), ``checkpoint``/``resume`` (a
+        ``retries``, ``checkpoint``/``resume`` (a
         :class:`repro.integrity.GridCheckpoint` or journal path;
         resume satisfies already-journaled cells, and a journal that
         cannot be read raises before anything runs, leaving the file
-        as it was), ``ledger`` and
+        as it was, with or without ``resume``), ``ledger`` and
         ``live_progress``, and the single-cell options every cell runs
         under (``watchdog_s``, ``blockcache`` — mixed into cache keys
         whenever the fast path may engage — and ``dram_backend``).
@@ -407,12 +404,13 @@ class ExperimentEngine:
         workload)`` is called before each attempt.
         """
         self.metrics.gauge("exec.jobs").set(self.jobs)
-        if self.checkpoint is not None and self.options.resume:
-            # Outside the ``try``: a journal that cannot be read raises
-            # here, before the final flush could rewrite it.
-            self.metrics.gauge("exec.checkpoint.entries").set(
-                len(self.checkpoint.load())
-            )
+        if self.checkpoint is not None:
+            # Outside the ``try``, resuming or not: a file that is not a
+            # journal raises here, before any cell runs or is recorded
+            # over it.
+            entries = len(self.checkpoint.load())
+            if self.options.resume:
+                self.metrics.gauge("exec.checkpoint.entries").set(entries)
         cells = self._cells(factories, list(workload_names))
         sink = Settlement(
             len(cells), self.options,
@@ -433,43 +431,11 @@ class ExperimentEngine:
             sink.close()
         return sink.grid(cells)
 
-    def refresh_cell(
-        self,
-        grid: ResultGrid,
-        factory: SimulatorFactory,
-        workload: str,
-        *,
-        instrumentation: Optional[Instrumentation] = None,
-    ) -> SimResult:
-        """Recompute one cell with this engine's options, overwrite its
-        cache entry, and replace it in ``grid`` (the
-        ``ResultGrid.add(..., replace=True)`` escape hatch).
-
-        Raises what the cell raised, like :meth:`Harness.run_one`.  A
-        quarantined result is returned but neither cached nor put in
-        the grid; its failure is appended to ``grid.failures``.
-        """
-        [factory] = with_backend([factory], self.options)
-        outcome = self._measure(factory, workload, instrumentation)
-        result = outcome.unwrap()
-        if outcome.failure is not None:
-            grid.failures.append(outcome.failure)
-            return result
-        if self.cache is not None:
-            [cell] = grid_cells(
-                self.workloads, [factory], [workload],
-                blockcache=self.options.blockcache,
-            )
-            self.cache.put(cell.key, result)
-        grid.add(result, replace=True)
-        return result
-
     # -- one cell ----------------------------------------------------------
 
     def _serve_hit(self, cell: _Cell, sink: Settlement) -> bool:
         """Settle ``cell`` from the checkpoint journal (resuming) or the
-        result cache; ``False`` means it must run.  Refreshing drops
-        the cell's cache entry instead."""
+        result cache; ``False`` means it must run."""
         if cell.key is None:
             return False
         if self.checkpoint is not None and self.options.resume:
@@ -479,9 +445,6 @@ class ExperimentEngine:
                 sink.result(cell, hit, source="checkpoint")
                 return True
         if self.cache is not None:
-            if self.options.refresh:
-                self.cache.invalidate(cell.key)
-                return False
             hit = self.cache.get(cell.key)
             if hit is not None:
                 sink.result(cell, hit, source="cache")

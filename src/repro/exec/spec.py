@@ -104,8 +104,6 @@ class RunOptions:
     timeout: Optional[float] = None
     #: Extra attempts granted to a failing cell.
     retries: int = 0
-    #: Invalidate and recompute every cached cell this run touches.
-    refresh: bool = False
     #: Grid-checkpoint journal path (or a live ``GridCheckpoint``).
     checkpoint: Optional[object] = None
     #: Skip cells the checkpoint journal already holds.

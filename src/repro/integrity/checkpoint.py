@@ -4,9 +4,10 @@ A long parallel grid run that dies at cell 900 of 1000 currently
 recomputes everything.  :class:`GridCheckpoint` is a merge-journal the
 execution engine writes as cells complete: each completed cell is
 recorded under its content-addressed cache-key digest, and the whole
-journal is rewritten atomically (temp file + ``os.replace``) every
-``every`` completions, so the file on disk is always a valid snapshot
-— a kill at any instant loses at most the last ``every - 1`` cells.
+journal is rewritten atomically and durably
+(:func:`~repro.exec.cache.atomic_write`) every ``every`` completions,
+so the file on disk is always a valid snapshot — a kill at any instant
+loses at most the last ``every - 1`` cells.
 
 On the next run, ``resume=True`` loads the journal and satisfies any
 cell whose digest matches a recorded entry, so only the missing cells
@@ -34,10 +35,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Dict, Iterable, List, Optional
 
+from repro.exec.cache import atomic_write
 from repro.result import SimResult
 
 __all__ = ["CheckpointConflict", "GridCheckpoint"]
@@ -105,20 +106,28 @@ class GridCheckpoint:
             raise ValueError(
                 f"corrupt grid checkpoint {self.path!r}: {exc}"
             ) from exc
-        fmt = payload.get("format")
+        fmt = payload.get("format") if isinstance(payload, dict) else None
         if fmt not in (self.FORMAT, self.FORMAT_V1):
             raise ValueError(
                 f"not a grid checkpoint: {self.path!r} has format="
                 f"{fmt!r} (expected {self.FORMAT!r})"
             )
         now = time.time()
-        for digest, entry in payload.get("cells", {}).items():
-            if fmt == self.FORMAT_V1:
-                result, recorded = entry, now
-            else:
-                result = entry["result"]
-                recorded = float(entry.get("recorded", now))
-            incoming = SimResult.from_dict(result)
+        parsed = []
+        try:
+            for digest, entry in payload.get("cells", {}).items():
+                if fmt == self.FORMAT_V1:
+                    result, recorded = entry, now
+                else:
+                    result = entry["result"]
+                    recorded = float(entry.get("recorded", now))
+                parsed.append((digest, SimResult.from_dict(result), recorded))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"corrupt grid checkpoint {self.path!r}: malformed entry "
+                f"({exc!r})"
+            ) from exc
+        for digest, incoming, recorded in parsed:
             # In-memory entries are newer than what was on disk — but
             # a same-digest entry must *agree* with ours canonically;
             # a disagreement is corruption, never a dedup.
@@ -163,20 +172,14 @@ class GridCheckpoint:
         entry.
 
         Merges with whatever is on disk first (another run may have
-        extended the journal since we last read it), then writes to a
-        temp file in the same directory, fsyncs it, and
-        ``os.replace``s it over the journal (followed by a directory
-        fsync where the platform allows), so readers never observe a
-        torn file and a completed flush survives power loss.
+        extended the journal since we last read it), then writes it
+        through :func:`~repro.exec.cache.atomic_write`, so readers never
+        observe a torn file and a completed flush survives power loss.
+        A file that is not a journal raises ``ValueError`` from the
+        merge and is left as it was, never replaced.
         """
         if not self._loaded:
-            try:
-                self.load()
-            except CheckpointConflict:
-                raise
-            except ValueError:
-                # A corrupt journal must not block writing a good one.
-                self._loaded = True
+            self.load()
         payload = {
             "format": self.FORMAT,
             "cells": {
@@ -187,36 +190,8 @@ class GridCheckpoint:
                 for digest, result in sorted(self._entries.items())
             },
         }
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".checkpoint-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        try:
-            # Persist the rename itself: without the directory fsync a
-            # power loss can roll the journal back to its previous
-            # (complete but stale) snapshot even though record()
-            # already acknowledged the newest cells.
-            dir_fd = os.open(directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - platform without dir fsync
-            pass
-
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        atomic_write(self.path, json.dumps(payload, sort_keys=True))
         self._dirty = 0
 
     # -- garbage collection ------------------------------------------------
@@ -248,13 +223,7 @@ class GridCheckpoint:
         # in-memory entries, so pruned digests still leave the file —
         # they are judged dead, not merely skipped during the merge.
         self._loaded = False
-        try:
-            self.load()
-        except CheckpointConflict:
-            raise
-        except ValueError:
-            # A corrupt journal must not block writing a good one.
-            self._loaded = True
+        self.load()
         cutoff = None
         if max_age_s is not None:
             cutoff = (time.time() if now is None else now) - max_age_s

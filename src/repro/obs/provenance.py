@@ -13,9 +13,9 @@ fingerprint of one timing run:
 * ``created`` — wall-clock time (UTC, ISO-8601);
 * ``host`` / ``platform`` / ``python`` — where it ran.
 
-Hashes are computed once per simulator configuration and cached (the
-configs are frozen dataclasses), so attaching provenance to every cell
-of a large grid costs one dict lookup per run.
+Hashes are computed once per configuration *value* and memoised, so
+the fresh but equal config every ``SimAlpha()`` builds costs one
+``repr`` and a dict lookup, not a re-hash.
 """
 
 from __future__ import annotations
@@ -31,10 +31,13 @@ from typing import Dict, Optional
 
 __all__ = ["RunProvenance", "config_hash", "capture_provenance"]
 
-#: config id -> (config, hash) memo.  The strong reference to the
-#: config keeps its id from being reused while the entry is live
-#: (configs are frozen, so the hash can never go stale).
-_HASH_CACHE: Dict[int, tuple] = {}
+#: ``repr(config)`` -> hash memo.  Keyed by value, not identity, so
+#: equal configs share one entry.  The configs are unhashable (they
+#: nest mutable dataclasses), and ``==`` would conflate values the
+#: canonical JSON tells apart (``1`` and ``1.0``, ``0.0`` and
+#: ``-0.0``); the dataclass ``repr`` shows every field and its type, so
+#: equal reprs have equal digests.
+_HASH_CACHE: Dict[str, str] = {}
 
 #: Entries kept in the memo before oldest-first eviction kicks in.
 _HASH_CACHE_LIMIT = 4096
@@ -59,10 +62,10 @@ def config_hash(config: object) -> str:
     """
     if config is None:
         return "none"
-    key = id(config)
+    key = repr(config)
     cached = _HASH_CACHE.get(key)
     if cached is not None:
-        return cached[1]
+        return cached
     if dataclasses.is_dataclass(config) and not isinstance(config, type):
         payload = dataclasses.asdict(config)
     else:
@@ -74,7 +77,7 @@ def config_hash(config: object) -> str:
         # configs a running grid is actively hashing keep their memo
         # entries instead of being wiped wholesale.
         del _HASH_CACHE[next(iter(_HASH_CACHE))]
-    _HASH_CACHE[key] = (config, digest)
+    _HASH_CACHE[key] = digest
     return digest
 
 

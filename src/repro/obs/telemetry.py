@@ -40,6 +40,7 @@ __all__ = [
     "TelemetryProbe",
     "RunLedger",
     "GridProgress",
+    "cell_fields",
     "mirror_to_metrics",
 ]
 
@@ -162,6 +163,34 @@ def mirror_to_metrics(registry, simulator, workload, telemetry) -> None:
     registry.counter("telemetry.cells").inc()
 
 
+def cell_fields(
+    *,
+    simulator: str,
+    workload: str,
+    status: str,
+    source: str = "run",
+    attempts: int = 1,
+    telemetry: Optional[CellTelemetry] = None,
+) -> Dict:
+    """The JSON fields of one settled cell: the schema a
+    :class:`RunLedger` line and a job service ``cell`` event share.
+
+    ``status`` is ``"ok"`` or the failure kind; ``source`` says where
+    the result came from (``run``, ``cache``, ``checkpoint``);
+    ``telemetry`` is present only when the cell produced a result.
+    """
+    fields: Dict = {
+        "simulator": simulator,
+        "workload": workload,
+        "status": status,
+        "source": source,
+        "attempts": attempts,
+    }
+    if telemetry is not None:
+        fields["telemetry"] = telemetry.to_dict()
+    return fields
+
+
 class RunLedger:
     """Append-only JSONL ledger of per-cell telemetry for one grid run.
 
@@ -191,34 +220,11 @@ class RunLedger:
         self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
         self._handle.flush()
 
-    def record(
-        self,
-        *,
-        simulator: str,
-        workload: str,
-        status: str,
-        source: str = "run",
-        attempts: int = 1,
-        telemetry: Optional[CellTelemetry] = None,
-    ) -> None:
-        """Append one cell's outcome.
-
-        ``status`` is ``"ok"`` or the failure kind; ``source`` says
-        where the result came from (``run``, ``cache``,
-        ``checkpoint``).
-        """
-        payload: Dict = {
-            "type": "cell",
-            "ts": self._clock(),
-            "simulator": simulator,
-            "workload": workload,
-            "status": status,
-            "source": source,
-            "attempts": attempts,
-        }
-        if telemetry is not None:
-            payload["telemetry"] = telemetry.to_dict()
-        self._write(payload)
+    def record(self, **cell) -> None:
+        """Append one cell's outcome (the keywords of
+        :func:`cell_fields`)."""
+        self._write({"type": "cell", "ts": self._clock(),
+                     **cell_fields(**cell)})
         self.records += 1
 
     def close(self) -> None:

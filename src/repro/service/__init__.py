@@ -12,8 +12,9 @@ each distinct spec exactly once, and replays results for everyone:
   jobs, cells/day);
 * :mod:`repro.service.worker` — the execution thread that drives jobs
   through :class:`~repro.validation.harness.Harness` /
-  :class:`~repro.exec.engine.ExperimentEngine` with a per-job
-  checkpoint journal (graceful shutdown re-queues, resume recovers);
+  :class:`~repro.exec.engine.ExperimentEngine` over the shared result
+  store (graceful shutdown re-queues; a re-run replays settled cells
+  from the store);
 * :mod:`repro.service.app` — the stdlib HTTP layer
   (``http.server.ThreadingHTTPServer``), no third-party deps;
 * :mod:`repro.service.client` — a small blocking client the tests and

@@ -92,8 +92,8 @@ class ServiceApp:
             self._started = True
 
     def shutdown(self, *, timeout: float = 30.0) -> None:
-        """Drain gracefully: the in-flight grid checkpoints at the next
-        cell boundary and its job re-queues for the next server."""
+        """Drain gracefully: the in-flight grid stops at the next cell
+        boundary and its job re-queues for the next server."""
         self.worker.stop()
         if self._started:
             self.worker.join(timeout=timeout)
@@ -315,7 +315,7 @@ def serve_until_shutdown(server: ThreadingHTTPServer,
                          app: ServiceApp,
                          stop_event: threading.Event) -> None:
     """Run ``server`` until ``stop_event`` fires, then drain: stop
-    accepting, checkpoint the in-flight grid, re-queue its job."""
+    accepting, stop the in-flight grid, re-queue its job."""
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.2},
         name="repro-serve-http", daemon=True,

@@ -9,8 +9,9 @@
 Prints one readiness line (``repro-serve listening on HOST:PORT``) to
 stdout once the socket is bound — CI scripts wait for it before
 submitting.  SIGTERM / SIGINT (Ctrl-C) trigger a graceful drain: the
-in-flight grid checkpoints at the next cell boundary, its job
-re-queues, and the process exits 0; a second signal exits immediately.
+in-flight grid stops at the next cell boundary (its settled cells are
+already in the shared store), its job re-queues, and the process exits
+0; a second signal exits immediately.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     def request_stop(signum, frame):
         if stop.is_set():  # second signal: give up on draining
             raise SystemExit(ExitCode.SERVICE)
-        print("repro-serve: draining (checkpointing in-flight grid)",
+        print("repro-serve: draining (stopping in-flight grid)",
               file=sys.stderr, flush=True)
         stop.set()
 

@@ -4,16 +4,25 @@ One job = one directory under ``<root>/jobs/<job_id>/``:
 
 * ``spec.json`` — the canonical :class:`~repro.exec.spec.ExperimentSpec`
   payload, written once at submission;
-* ``status.json`` — the job's mutable face (state, counts, error),
-  rewritten atomically on every transition;
+* ``status.json`` — the job's mutable face (state, tenants, error),
+  rewritten on lifecycle transitions only (submit, attach, claim,
+  requeue, finish, fail, recovery); ``cells_done`` is counted in
+  memory, so ``GET /v1/jobs/{id}`` is live while the file's copy is
+  whatever the last transition wrote;
 * ``events.jsonl`` — append-only progress stream the long-poll endpoint
   serves (``submitted``, ``started``, ``cell``, ``checkpointed``,
-  ``done``, ``failed``);
-* ``checkpoint.journal`` — the engine's grid checkpoint; a job killed
-  mid-grid (crash or graceful shutdown) resumes from it without
-  recomputing settled cells;
+  ``done``, ``failed``); a ``cell`` event carries the keys of a
+  :class:`~repro.obs.telemetry.RunLedger` line;
 * ``result.json`` — the canonical ``ResultGrid`` serialisation, written
   when the job completes.
+
+A job has no journal of its own: every fresh cell is a durable
+:meth:`~repro.exec.cache.ResultCache.put` into the service's shared
+store, so a job killed mid-grid (crash or graceful shutdown) resumes
+by running its grid again, and its settled cells replay from the store
+(``source="cache"``) without being recomputed.  Whatever the grid
+size, a job's own writes are a constant number of
+:func:`~repro.exec.cache.atomic_write` calls.
 
 Dedup: a job's identity is its spec's :meth:`ExperimentSpec.dedup_key`
 — the sha256 of the measurement-relevant canonical JSON.  Submitting a
@@ -24,8 +33,8 @@ resubmission retries.
 
 Durability: the store is rebuilt from the job directories at startup —
 ``queued`` jobs re-enter the queue, ``running`` jobs (a crashed
-server's in-flight work) are re-queued and resume from their
-checkpoint journal.  All waiting (long-poll, worker claim) is one
+server's in-flight work) are re-queued and resume from the shared
+result store.  All waiting (long-poll, worker claim) is one
 ``threading.Condition``; every mutation notifies it.
 """
 
@@ -37,6 +46,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.exec.cache import atomic_write
 from repro.exec.spec import ExperimentSpec
 
 __all__ = ["Job", "JobNotFound", "JobStore"]
@@ -52,15 +62,6 @@ _TERMINAL = (DONE, FAILED)
 
 class JobNotFound(KeyError):
     """No job with that id (or its directory is gone)."""
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 class Job:
@@ -120,8 +121,8 @@ class JobStore:
                 pass
             job = Job(job_id, job_root, status, events)
             if job.state == RUNNING:
-                # The previous server died mid-grid; the checkpoint
-                # journal holds its settled cells.
+                # The previous server died mid-grid; the shared result
+                # store holds its settled cells.
                 job.status["state"] = QUEUED
                 self._write_status(job)
                 self._append_event(job, {"kind": "requeued"})
@@ -135,7 +136,7 @@ class JobStore:
     # -- persistence -------------------------------------------------------
 
     def _write_status(self, job: Job) -> None:
-        _atomic_write(
+        atomic_write(
             job.path("status.json"),
             json.dumps(job.status, sort_keys=True),
         )
@@ -193,7 +194,7 @@ class JobStore:
                 "error": None,
             }
             job = Job(job_id, job_root, status)
-            _atomic_write(
+            atomic_write(
                 job.path("spec.json"), spec.canonical_json()
             )
             self._write_status(job)
@@ -224,8 +225,8 @@ class JobStore:
             job_id = self._queue.pop(0)
             job = self._jobs[job_id]
             job.status["state"] = RUNNING
-            # A resumed job re-counts from its checkpoint (recovered
-            # cells re-announce with source="checkpoint").
+            # A resumed job re-counts: its settled cells re-announce
+            # from the shared store with source="cache".
             job.status["cells_done"] = 0
             self._write_status(job)
             self._append_event(job, {"kind": "started"})
@@ -233,8 +234,8 @@ class JobStore:
             return job_id
 
     def requeue(self, job_id: str, *, reason: str = "shutdown") -> None:
-        """Put a claimed job back on the queue (graceful shutdown after
-        checkpointing its grid)."""
+        """Put a claimed job back on the queue (graceful shutdown at a
+        cell boundary; its settled cells are already in the store)."""
         with self._cond:
             job = self._require(job_id)
             job.status["state"] = QUEUED
@@ -245,24 +246,23 @@ class JobStore:
                 self._queue.insert(0, job_id)
             self._cond.notify_all()
 
-    def record_progress(self, job_id: str, *, simulator: str,
-                        workload: str, status: str, source: str) -> None:
-        """One settled grid cell (the engine's ledger hook)."""
+    def record_progress(self, job_id: str, cell: Dict) -> None:
+        """One settled grid cell (the engine's ledger hook): ``cell``
+        holds the fields of a :class:`~repro.obs.telemetry.RunLedger`
+        line (:func:`~repro.obs.telemetry.cell_fields`).  Counted in
+        memory and appended to the event stream; ``status.json`` is not
+        rewritten."""
         with self._cond:
             job = self._require(job_id)
             job.status["cells_done"] += 1
-            self._write_status(job)
-            self._append_event(job, {
-                "kind": "cell", "simulator": simulator,
-                "workload": workload, "status": status, "source": source,
-            })
+            self._append_event(job, {"kind": "cell", **cell})
             self._cond.notify_all()
 
     def finish(self, job_id: str, result_json: str,
                *, failures: int = 0) -> None:
         with self._cond:
             job = self._require(job_id)
-            _atomic_write(job.path("result.json"), result_json)
+            atomic_write(job.path("result.json"), result_json)
             job.status["state"] = DONE
             job.status["failures"] = failures
             self._write_status(job)
@@ -301,11 +301,6 @@ class JobStore:
             if job is None or job.state == FAILED:
                 return None
             return job_id
-
-    def job_path(self, job_id: str, name: str) -> str:
-        """Absolute path of a file inside the job's directory."""
-        with self._lock:
-            return self._require(job_id).path(name)
 
     def status(self, job_id: str) -> Dict:
         with self._lock:

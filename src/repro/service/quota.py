@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.exec.cache import atomic_write
+
 __all__ = ["QuotaExceeded", "QuotaLedger", "QuotaPolicy"]
 
 _DAY_S = 86400.0
@@ -87,10 +89,7 @@ class QuotaLedger:
     def _save(self) -> None:
         if self.path is None:
             return
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"spent": self._spent}, handle)
-        os.replace(tmp, self.path)
+        atomic_write(self.path, json.dumps({"spent": self._spent}))
 
     # -- enforcement -------------------------------------------------------
 

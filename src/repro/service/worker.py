@@ -1,22 +1,24 @@
 """The execution half of the service: one thread draining the queue.
 
 Each claimed job is rebuilt into an :class:`ExperimentSpec`, its
-options re-based onto the service's shared result cache and the job's
-private checkpoint journal, and run through the ordinary
-:class:`~repro.validation.harness.Harness` dispatch — the service adds
+operational options replaced by the service's own — the shared result
+cache, no checkpoint journal, no resume, the job's event stream as the
+ledger — whatever the client named, and run through the ordinary
+:class:`~repro.validation.harness.Harness` dispatch.  The service adds
 no execution semantics of its own, so a job's result is byte-identical
 (canonically) to the same grid run from the CLI or the Python API.
 
 Two hooks thread the service through the engine:
 
 * the run-ledger seam (``options.ledger``) receives one record per
-  settled cell — forwarded to the job's event stream, which is what
-  the long-poll endpoint serves;
+  settled cell, with every field the engine's ``Settlement`` reports —
+  forwarded to the job's event stream, which is what the long-poll
+  endpoint serves;
 * the ``progress`` callback fires before each computed cell — the
   graceful-shutdown check raises :class:`ServiceShutdown` there, after
-  the last finished cell was already fsynced into the checkpoint
-  journal, so a drained job re-queues and later resumes with zero
-  recompute.
+  the last finished cell was already put durably into the shared
+  store, so a drained job re-queues and later resumes with zero
+  recompute (its settled cells replay as ``source="cache"``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Optional
 
 from repro.exec.cache import ResultCache
 from repro.obs.registry import MetricsRegistry
+from repro.obs.telemetry import cell_fields
 from repro.service.jobs import JobStore
 from repro.validation.harness import Harness
 
@@ -44,13 +47,8 @@ class _EventLedger:
         self.store = store
         self.job_id = job_id
 
-    def record(self, *, simulator: str, workload: str, status: str,
-               source: str = "run", attempts: int = 1,
-               telemetry=None) -> None:
-        self.store.record_progress(
-            self.job_id, simulator=simulator, workload=workload,
-            status=status, source=source,
-        )
+    def record(self, **cell) -> None:
+        self.store.record_progress(self.job_id, cell_fields(**cell))
 
     def close(self) -> None:  # pragma: no cover - engine never owns us
         pass
@@ -77,8 +75,8 @@ class JobWorker(threading.Thread):
         self._stopping = threading.Event()
 
     def stop(self) -> None:
-        """Ask the worker to drain: the in-flight job checkpoints at
-        the next cell boundary and re-queues."""
+        """Ask the worker to drain: the in-flight job stops at the next
+        cell boundary and re-queues."""
         self._stopping.set()
 
     def run(self) -> None:
@@ -97,10 +95,8 @@ class JobWorker(threading.Thread):
             spec.validate(workload_set=self.workloads)
             options = spec.options.replace(
                 cache=self.cache,
-                checkpoint=self.store.job_path(
-                    job_id, "checkpoint.journal"
-                ),
-                resume=True,
+                checkpoint=None,
+                resume=False,
                 ledger=_EventLedger(self.store, job_id),
                 live_progress=False,
             )

@@ -788,6 +788,17 @@ def main(argv=None) -> int:
     from repro.integrity.sanitizers import IntegrityError, Sanitizers
     from repro.obs.registry import MetricsRegistry
 
+    if args.checkpoint:
+        from repro.integrity.checkpoint import GridCheckpoint
+
+        try:
+            # A FILE that is not a journal is a usage error, refused
+            # before any cell runs and left as it is on disk.
+            GridCheckpoint(args.checkpoint).load()
+        except (OSError, ValueError) as error:
+            print(error, file=sys.stderr)
+            return ExitCode.USAGE
+
     registry = MetricsRegistry(
         enabled=bool(args.metrics_out or args.openmetrics)
     )

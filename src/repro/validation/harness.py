@@ -131,8 +131,7 @@ class ResultGrid:
 
     def add(self, result: SimResult, *, replace: bool = False) -> None:
         """Insert ``result``; duplicate (simulator, workload) cells are
-        an error unless ``replace=True`` (the execution engine's
-        cache-refresh path)."""
+        an error unless ``replace=True``."""
         per_sim = self.results.setdefault(result.simulator, {})
         if result.workload in per_sim and not replace:
             raise ValueError(

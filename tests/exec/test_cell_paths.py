@@ -163,9 +163,6 @@ def test_dram_backend_reaches_every_executor(workloads):
         "engine jobs=2": one(ExperimentEngine(
             workloads, options.replace(jobs=2)
         ).run_grid([SimAlpha], ["M-D"])),
-        "refresh_cell": ExperimentEngine(workloads, options).refresh_cell(
-            ResultGrid(), SimAlpha, "M-D"
-        ),
         "Harness.run_grid": one(harness.run_grid(
             [SimAlpha], ["M-D"], options
         )),

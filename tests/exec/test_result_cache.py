@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -156,15 +157,6 @@ class TestResultCache:
         assert cache.get(key) is None
         assert cache.invalidations == 1
 
-    def test_explicit_invalidate(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = make_key()
-        cache.put(key, make_result())
-        assert cache.invalidate(key)
-        assert not cache.invalidate(key)
-        assert cache.get(key) is None
-        assert len(cache) == 0
-
     def test_put_overwrites(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = make_key()
@@ -182,12 +174,38 @@ class TestResultCache:
         cache.get(key)
         cache.put(key, make_result())
         cache.get(key)
-        cache.invalidate(key)
+        path = os.path.join(cache.root, key.digest() + ".json")
+        with open(path, "w") as handle:
+            handle.write("{ not json")
+        cache.get(key)
         counters = registry.snapshot()["counters"]
-        assert counters["exec.cache.misses"] == 1
+        assert counters["exec.cache.misses"] == 2
         assert counters["exec.cache.stores"] == 1
         assert counters["exec.cache.hits"] == 1
         assert counters["exec.cache.invalidations"] == 1
+
+    def test_put_is_durable(self, tmp_path, monkeypatch):
+        """Each put fsyncs the entry and then its directory, so a cell
+        whose put returned survives power loss and a resumed grid may
+        skip it."""
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                          else "file")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        cache = ResultCache(tmp_path)
+        cache.put(make_key(), make_result())
+        assert synced == ["file", "dir"]
+        cache.put(make_key(workload="M-D"), make_result())
+        assert synced == ["file", "dir"] * 2
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            key.digest() + ".json"
+            for key in (make_key(), make_key(workload="M-D"))
+        )
 
 
 class TestEngineCaching:
@@ -222,43 +240,6 @@ class TestEngineCaching:
         engine.run_grid([fake_factory("fake-a", cpi=9.0)], ["C-R"])
         assert engine.cache.hits == 0
         assert engine.cache.misses == 2
-
-    def test_refresh_recomputes_every_cell(self, tmp_path, harness):
-        from repro.exec.engine import ExperimentEngine
-
-        cache = ResultCache(tmp_path)
-        ExperimentEngine(
-            harness.workloads, RunOptions(cache=cache)
-        ).run_grid(
-            [fake_factory("fake-a")], ["C-R"]
-        )
-        refresher = ExperimentEngine(
-            harness.workloads, RunOptions(cache=cache, refresh=True)
-        )
-        refresher.run_grid([fake_factory("fake-a")], ["C-R"])
-        assert cache.invalidations == 1
-        assert cache.stores == 2
-        assert cache.hits == 0
-
-    def test_refresh_cell_replaces_in_grid(self, tmp_path, harness):
-        from repro.exec.engine import ExperimentEngine
-
-        engine = ExperimentEngine(
-            harness.workloads, RunOptions(cache=str(tmp_path))
-        )
-        factory = fake_factory("fake-a")
-        grid = engine.run_grid([factory], ["C-R"])
-        before = grid.get("fake-a", "C-R")
-        after = engine.refresh_cell(grid, factory, "C-R")
-        assert grid.get("fake-a", "C-R") is after
-        assert after is not before
-        # Telemetry is volatile (wall time, KIPS): the refreshed cell
-        # must measure the same thing, not cost the same.
-        measured = {k: v for k, v in after.to_dict().items()
-                    if k != "telemetry"}
-        assert measured == {k: v for k, v in before.to_dict().items()
-                            if k != "telemetry"}
-        assert engine.cache.stores == 2
 
 
 class TestDramBackendKeying:

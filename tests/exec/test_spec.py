@@ -29,7 +29,6 @@ _run_options = st.builds(
     timeout=st.none() | st.floats(min_value=0.5, max_value=300.0,
                                   allow_nan=False),
     retries=st.integers(min_value=0, max_value=3),
-    refresh=st.booleans(),
     checkpoint=st.none() | _names,
     resume=st.booleans(),
     ledger=st.none() | _names,
@@ -91,8 +90,7 @@ def test_dedup_key_ignores_operational_options(spec, jobs, path, live):
     simulation."""
     operational = spec.options.replace(
         jobs=jobs, cache=path, checkpoint=path, ledger=path,
-        live_progress=live, refresh=not spec.options.refresh,
-        resume=not spec.options.resume,
+        live_progress=live, resume=not spec.options.resume,
     )
     twin = dataclasses.replace(spec, options=operational)
     assert twin.dedup_key() == spec.dedup_key()
@@ -141,9 +139,12 @@ def test_unknown_spec_key_rejected():
 def test_unknown_options_key_rejected():
     with pytest.raises(SpecError, match="unknown RunOptions key"):
         RunOptions.from_dict({"jobs": 2, "n_workers": 4})
-    # A job spec queued before the shard fabric was deleted.
+    # Job specs queued before the shard fabric and the refresh path
+    # were deleted.
     with pytest.raises(SpecError, match="unknown RunOptions key"):
         RunOptions.from_dict({"shards": 1})
+    with pytest.raises(SpecError, match="unknown RunOptions key"):
+        RunOptions.from_dict({"refresh": False})
 
 
 def test_empty_grid_rejected():

@@ -12,6 +12,15 @@ from repro.result import SimResult
 from repro.validation.harness import Harness, ResultGrid
 
 
+#: Checkpoint paths holding something that is not a grid journal.
+FOREIGN_FILES = [
+    "{corrupt",
+    '{"format": "something-else", "mine": 1}',
+    "[1, 2]",
+    '{"format": "repro-grid-checkpoint/2", "cells": {"d1": {}}}',
+]
+
+
 def make_result(sim="sim-alpha", workload="C-R"):
     return SimResult(sim, workload, cycles=100.0, instructions=50)
 
@@ -286,6 +295,31 @@ class TestResume:
                 RunOptions(checkpoint=str(path), resume=True, jobs=jobs),
             )
         assert path.read_text(encoding="utf-8") == content
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("resume", [False, True])
+    @pytest.mark.parametrize("content", FOREIGN_FILES,
+                             ids=["corrupt", "foreign", "list",
+                                  "bad-entry"])
+    def test_no_cell_runs_over_a_foreign_file(self, tmp_path, content,
+                                              resume, jobs):
+        """Resuming or not, a checkpoint path holding something that is
+        not a journal fails the grid before any cell runs, and the file
+        is never recorded over."""
+        from repro.obs import MetricsRegistry
+
+        path = tmp_path / "grid.ckpt"
+        path.write_text(content, encoding="utf-8")
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError):
+            Harness(metrics=registry).run_grid(
+                [SimAlpha], ["C-Ca"],
+                RunOptions(checkpoint=str(path), resume=resume, jobs=jobs),
+            )
+        assert path.read_text(encoding="utf-8") == content
+        counters = registry.snapshot()["counters"]
+        assert "exec.cells.completed" not in counters
+        assert "exec.cells.launched" not in counters
 
     def test_harness_level_checkpoint_defaults(self, tmp_path):
         """The CLI configures checkpoint/resume on the harness; grids

@@ -164,6 +164,38 @@ class TestIntegritySubcommand:
         assert "unknown workload family" in capsys.readouterr().err
 
 
+class TestCheckpointFlag:
+    @pytest.mark.parametrize("resume", [False, True])
+    @pytest.mark.parametrize("content", [
+        "{corrupt", '{"format": "something-else", "mine": 1}', "[1, 2]",
+        '{"format": "repro-grid-checkpoint/2", "cells": {"d1": {}}}',
+    ], ids=["corrupt", "foreign", "list", "bad-entry"])
+    def test_foreign_file_is_a_usage_error(self, tmp_path, capsys,
+                                           monkeypatch, content, resume):
+        """``--checkpoint FILE`` over something that is not a journal
+        prints one line and exits 2, before any cell runs, and leaves
+        FILE byte-identical, with or without ``--resume``."""
+        import repro.exec.engine as engine
+
+        ran = []
+        real_run_cell = engine.run_cell
+
+        def run_cell(factory, workload, *args, **kwargs):
+            ran.append(workload)
+            return real_run_cell(factory, workload, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_cell", run_cell)
+        path = tmp_path / "grid.ckpt"
+        path.write_text(content, encoding="utf-8")
+        argv = ["table2", "--quick", "--checkpoint", str(path)]
+        assert main(argv + (["--resume"] if resume else [])) == 2
+        assert ran == []
+        assert path.read_text(encoding="utf-8") == content
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert str(path) in err
+
+
 class TestCheckpointGcSubcommand:
     def _journal(self, tmp_path, *digests):
         from repro.integrity.checkpoint import GridCheckpoint

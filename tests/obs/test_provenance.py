@@ -44,6 +44,38 @@ class TestConfigHash:
         assert len(digest) == 16
         int(digest, 16)  # raises if not hex
 
+    def test_equal_configs_share_one_memo_entry(self, monkeypatch):
+        """Every ``SimAlpha()`` builds a fresh but equal config: the
+        memo is keyed by value, so two of them hash once and leave one
+        entry."""
+        from repro import SimAlpha
+
+        provenance._HASH_CACHE.clear()
+        hashed = []
+        real_sha256 = provenance.hashlib.sha256
+
+        def sha256(data):
+            hashed.append(data)
+            return real_sha256(data)
+
+        monkeypatch.setattr(provenance.hashlib, "sha256", sha256)
+        first, second = SimAlpha().config, SimAlpha().config
+        assert first is not second
+        assert config_hash(first) == config_hash(second)
+        assert len(hashed) == 1
+        assert len(provenance._HASH_CACHE) == 1
+
+    def test_memo_keeps_int_and_float_fields_apart(self):
+        """``TinyConfig(1) == TinyConfig(1.0)``, but their canonical
+        JSON differs, so the memo must not serve one's digest for the
+        other."""
+        provenance._HASH_CACHE.clear()
+        as_int = config_hash(TinyConfig(1))
+        as_float = config_hash(TinyConfig(1.0))
+        assert as_int != as_float
+        provenance._HASH_CACHE.clear()
+        assert config_hash(TinyConfig(1.0)) == as_float
+
 
 class TestHashCacheEviction:
     def test_eviction_is_oldest_first_not_wholesale(self):
@@ -58,13 +90,13 @@ class TestHashCacheEviction:
         ]
         for config in flood:
             config_hash(config)
-        assert id(anchor) in provenance._HASH_CACHE
+        assert repr(anchor) in provenance._HASH_CACHE
         assert len(provenance._HASH_CACHE) == provenance._HASH_CACHE_LIMIT
 
         config_hash(TinyConfig(-1))
-        assert id(anchor) not in provenance._HASH_CACHE
-        assert id(flood[0]) in provenance._HASH_CACHE
-        assert id(flood[-1]) in provenance._HASH_CACHE
+        assert repr(anchor) not in provenance._HASH_CACHE
+        assert repr(flood[0]) in provenance._HASH_CACHE
+        assert repr(flood[-1]) in provenance._HASH_CACHE
         assert len(provenance._HASH_CACHE) == provenance._HASH_CACHE_LIMIT
 
     def test_structurally_equal_configs_hash_equal_after_eviction(self):

@@ -12,8 +12,11 @@ These exercise the acceptance criteria of the service PR over a real
   cell is served from the shared result cache (verified via the
   ``exec.cache.*`` metrics);
 * an over-budget tenant gets HTTP 429 with ``Retry-After``;
-* graceful shutdown checkpoints the in-flight grid and a fresh server
-  over the same state root resumes it with zero recompute.
+* graceful shutdown stops the in-flight grid at a cell boundary and a
+  fresh server over the same state root resumes it from the shared
+  result store with zero recompute;
+* a job's persistence is one durable put per fresh cell plus a
+  constant, and a job directory never holds a checkpoint journal.
 
 The simulators are the deterministic fakes from the engine tests,
 registered under service-addressable names — fast, but driven through
@@ -21,14 +24,17 @@ the exact Harness/engine path real simulators take.
 """
 
 import json
+import os
 import threading
 
 import pytest
 
+from repro.exec.cache import atomic_write
 from repro.exec.spec import ExperimentSpec, RunOptions, register_simulator
 from repro.exec.spec import _EXTRA_SIMULATORS
 from repro.service.app import ServiceApp, build_server
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.jobs import JobStore
 from repro.service.quota import QuotaLedger, QuotaPolicy
 from repro.validation.harness import Harness
 from repro.workloads.suite import WorkloadSet
@@ -217,13 +223,28 @@ def test_bad_spec_is_400_not_enqueued(server, fake_sims):
         client.submit({"simulators": [fake_sims[0]],
                        "workloads": ["C-Ca"], "bogus_key": 1})
     assert excinfo.value.status == 400
+    # The refresh path is gone: a spec still carrying it is refused.
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit({"simulators": [fake_sims[0]],
+                       "workloads": ["C-Ca"],
+                       "options": {"refresh": True}})
+    assert excinfo.value.status == 400
     assert client.jobs() == []
+
+
+def journals_under(root):
+    return [
+        os.path.join(dirpath, name)
+        for dirpath, _, names in os.walk(root)
+        for name in names if name == "checkpoint.journal"
+    ]
 
 
 def test_graceful_shutdown_checkpoints_and_resumes(
         server, fake_sims, tmp_path):
     """Stop the service mid-grid; a new server over the same root
-    resumes the job from its checkpoint journal with zero recompute."""
+    resumes the job from the shared result store with zero
+    recompute."""
     root = tmp_path / "resume-svc"
     gate = threading.Event()
     entered = threading.Event()
@@ -257,7 +278,7 @@ def test_graceful_shutdown_checkpoints_and_resumes(
 
         assert entered.wait(timeout=30), "grid never reached cell 2"
         # Drain while cell 2 is mid-flight: stop() makes the progress
-        # hook raise before cell 3, after cell 2 hits the journal.
+        # hook raise before cell 3, after cell 2 is put in the store.
         first.app.worker.stop()
         gate.set()
         first.close()
@@ -280,9 +301,10 @@ def test_graceful_shutdown_checkpoints_and_resumes(
                 e["source"] for e in events if e["kind"] == "cell"
             ]
             # First server: two computed cells.  Second server: those
-            # two replay from the checkpoint, only cell 3 computes.
-            assert run_sources.count("checkpoint") == 2
+            # two replay from the shared store, only cell 3 computes.
+            assert run_sources.count("cache") == 2
             assert len(computed) == 3
+            assert journals_under(root / "jobs") == []
             serial = Harness(WorkloadSet()).run_grid(
                 spec.factories(), list(spec.workloads)
             )
@@ -316,3 +338,117 @@ def test_cells_endpoint_serves_cached_results(server, fake_sims):
     with pytest.raises(ServiceError) as excinfo:
         client.cell("0" * 16)
     assert excinfo.value.status == 404
+
+
+def test_crashed_job_resumes_from_the_shared_store(server, fake_sims,
+                                                   tmp_path):
+    """A server that died mid-grid leaves its job ``running`` and one
+    cell durably in the store; the next server re-queues the job and
+    only the unsettled cell computes."""
+    root = tmp_path / "crash-svc"
+    spec = ExperimentSpec(fake_sims[:1], WORKLOADS)
+    store = JobStore(root)
+    job, _ = store.submit(spec, "test")
+    assert store.claim(timeout=0) == job.job_id
+    Harness(WorkloadSet()).run_grid(
+        spec.factories(), [WORKLOADS[0]],
+        RunOptions(cache=str(root / "cache")),
+    )
+
+    client = server(root).client()
+    final = client.wait(job.job_id, timeout=60)
+    assert final["state"] == "done"
+    events = client.events(job.job_id)["events"]
+    assert "requeued" in [e["kind"] for e in events]
+    assert [e["source"] for e in events if e["kind"] == "cell"] == [
+        "cache", "run",
+    ]
+    serial = Harness(WorkloadSet()).run_grid(
+        spec.factories(), list(spec.workloads)
+    )
+    assert client.result_text(job.job_id) == serial.to_json(canonical=True)
+
+
+def test_client_named_paths_are_never_created(server, fake_sims,
+                                              tmp_path):
+    """The service overrides a spec's operational options: the cache,
+    checkpoint and ledger paths a client names are never written."""
+    named = {
+        "cache": str(tmp_path / "client-cache"),
+        "checkpoint": str(tmp_path / "client.journal"),
+        "ledger": str(tmp_path / "client-ledger.jsonl"),
+    }
+    fixture = server()
+    client = fixture.client()
+    job = client.submit({
+        "simulators": list(fake_sims), "workloads": list(WORKLOADS),
+        "options": dict(named, resume=True),
+    })
+    assert client.wait(job["id"], timeout=60)["state"] == "done"
+    for path in named.values():
+        assert not os.path.exists(path), path
+    assert journals_under(fixture.app.root) == []
+
+
+def test_job_persistence_is_flat_in_grid_size(server, fake_sims,
+                                              monkeypatch):
+    """``status.json`` is written on lifecycle transitions only, so a
+    1x1 and a 1x8 job write it equally often; every other write the
+    8-cell job adds is one durable result-store put per fresh cell."""
+    import repro.exec.cache
+    import repro.integrity.checkpoint
+    import repro.service.jobs
+    import repro.service.quota
+
+    writes = []
+
+    def counting(path, text):
+        writes.append(os.path.basename(path))
+        atomic_write(path, text)
+
+    for module in (repro.exec.cache, repro.integrity.checkpoint,
+                   repro.service.jobs, repro.service.quota):
+        monkeypatch.setattr(module, "atomic_write", counting)
+
+    client = server().client()
+    workloads = ("C-Ca", "C-Cb", "E-DM1", "M-ROW", "M-BANK", "M-I",
+                 "C-S3", "E-D3")
+    counts = {}
+    for width in (1, 8):
+        # Distinct simulators: every cell of both jobs is fresh.
+        spec = ExperimentSpec((fake_sims[width // 8],), workloads[:width])
+        del writes[:]
+        job = client.submit(spec)
+        assert client.wait(job["id"], timeout=60)["state"] == "done"
+        counts[width] = list(writes)
+    assert counts[1].count("status.json") == counts[8].count("status.json")
+    assert len(counts[8]) - len(counts[1]) == 8 - 1
+    assert "checkpoint.journal" not in counts[1] + counts[8]
+
+
+def test_cell_events_carry_the_ledger_schema(server, fake_sims, tmp_path):
+    """A job's ``cell`` event reports the fields of a ``--ledger`` line
+    for the same grid: one cell schema for the service and the CLI."""
+    spec = ExperimentSpec(fake_sims, WORKLOADS)
+    client = server().client()
+    job = client.submit(spec)
+    client.wait(job["id"], timeout=60)
+    events = [
+        e for e in client.events(job["id"])["events"] if e["kind"] == "cell"
+    ]
+
+    ledger = tmp_path / "ledger.jsonl"
+    Harness(WorkloadSet()).run_grid(
+        spec.factories(), list(spec.workloads),
+        RunOptions(ledger=str(ledger)),
+    )
+    lines = [
+        line for line in map(json.loads, ledger.read_text().splitlines())
+        if line["type"] == "cell"
+    ]
+    assert len(events) == len(lines) == spec.cells
+    for event, line in zip(events, lines):
+        assert set(event) - {"kind", "index", "ts"} == \
+            set(line) - {"type", "ts"}
+        assert set(event["telemetry"]) == set(line["telemetry"])
+        assert event["attempts"] == line["attempts"] == 1
