@@ -66,16 +66,10 @@ from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
-    "BLOCKCACHE_VERSION",
     "BlockCacheConfig",
     "BlockCache",
     "resolve_blockcache",
 ]
-
-#: Bumped whenever memoization/replay semantics change; the experiment
-#: engine mixes it into result-cache keys so cached results never span
-#: blockcache versions.
-BLOCKCACHE_VERSION = 1
 
 # _Entry modes.
 _IDLE = 0

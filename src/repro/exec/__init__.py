@@ -17,13 +17,14 @@ for every ``RunOptions``)::
         print(failure.kind, failure.simulator, failure.workload)
 
 Cells are content-addressed by :class:`CacheKey` — configuration hash,
-workload, trace fingerprint, package version — so a second run over
-unchanged inputs is pure cache hits and serialises byte-identically to
-the run that populated the cache.  :meth:`ResultCache.put` is durable
-(:func:`atomic_write`: temp file, fsync, rename, directory fsync), so
-a grid killed at any point and run again over the same cache
-recomputes only the cells it had not settled; the job service resumes
-a drained or crashed job exactly that way.
+workload, program digest, model source digest — so a second run over
+unchanged inputs is pure cache hits, builds no trace, and serialises
+byte-identically to the run that populated the cache.
+:meth:`ResultCache.put` is durable (:func:`atomic_write`: temp file,
+fsync, rename, directory fsync), so a grid killed at any point and run
+again over the same cache recomputes only the cells it had not
+settled; the job service resumes a drained or crashed job exactly that
+way.
 
 The pool is also the crash-safe executor: a worker that dies mid-cell
 settles as a ``crash`` failure and is retried within ``retries``, and
@@ -40,8 +41,6 @@ _EXPORTS = {
     "CacheKey": "repro.exec.cache",
     "ResultCache": "repro.exec.cache",
     "atomic_write": "repro.exec.cache",
-    "fingerprint_trace": "repro.exec.cache",
-    "instr_signature": "repro.exec.cache",
     "CellFailure": "repro.exec.engine",
     "ExperimentEngine": "repro.exec.engine",
     "grid_cells": "repro.exec.engine",

@@ -1,19 +1,20 @@
 """On-disk memoization of simulation results, content-addressed by
-configuration.
+what determines them.
 
 A grid cell's outcome is a pure function of (simulator configuration,
-workload trace, simulator code).  :class:`CacheKey` captures exactly
+workload program, simulator code).  :class:`CacheKey` captures exactly
 that function's inputs:
 
 * ``simulator`` + ``config_hash`` — which timing model, resolved to the
-  PR-1 provenance hash of its fully specified configuration;
-* ``workload`` + ``trace_fingerprint`` — which dynamic trace, hashed
-  over every replayed instruction so a changed workload generator
-  invalidates stale entries;
-* ``package_version`` — which release of the simulators produced it.
+  provenance hash of its fully specified configuration;
+* ``workload`` + ``program_digest`` — which program (code, data image,
+  entry point, name), which fixes the trace, so no lookup builds one;
+* ``model_digest`` — which simulator code (:func:`model_digest`), so
+  any source edit makes a cold store instead of a stale hit.
 
-Entries live one-per-file under the cache root, named by the key's
-digest and carrying the full key alongside the serialised
+:func:`cell_key` builds every key.  Entries live one-per-file under
+the cache root, named by the key's digest and carrying the full key
+alongside the serialised
 :class:`~repro.result.SimResult`; a stored key that does not match the
 probe (digest collision, hand-edited file) or an unreadable entry is
 *invalidated* — deleted and recomputed — rather than trusted.  Hits
@@ -29,21 +30,27 @@ complete and a stored entry survives power loss.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence
 
 from repro.obs.registry import MetricsRegistry
 from repro.result import SimResult
 
 __all__ = [
-    "CacheKey", "ResultCache", "atomic_write", "fingerprint_trace",
-    "instr_signature",
+    "CacheKey", "ResultCache", "atomic_write", "cell_key",
+    "fingerprint_trace", "instr_signature", "model_digest",
+    "source_digest",
 ]
+
+#: Entries of an older format are never probed; ``cache-gc`` ages them out.
+_FORMAT = "repro-result-cache/2"
 
 
 def atomic_write(path, text: str) -> None:
@@ -123,7 +130,8 @@ def fingerprint_trace(trace: Sequence) -> str:
     identically: content the models never read (``size``, and the
     position fields that restate the record index) cannot split the
     fingerprint, and every consumed field is separated unambiguously
-    so no two distinct signatures can collide by concatenation.
+    so no two distinct signatures can collide by concatenation.  No
+    key uses it.
     """
     digest = hashlib.blake2b(digest_size=16)
     digest.update(str(len(trace)).encode())
@@ -133,6 +141,29 @@ def fingerprint_trace(trace: Sequence) -> str:
     return digest.hexdigest()
 
 
+def source_digest(root) -> str:
+    """SHA-256 over the relative path and bytes of every ``.py`` file
+    under ``root``, in path order; raises if there is none."""
+    root = Path(root)
+    paths = sorted(root.rglob("*.py"))
+    if not paths:
+        raise RuntimeError(f"no Python source under {root}")
+    digest = hashlib.sha256()
+    for path in paths:
+        data = path.read_bytes()
+        relative = path.relative_to(root).as_posix()
+        digest.update(f"{relative}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def model_digest() -> str:
+    """:func:`source_digest` of the installed ``repro`` package (this
+    module's grandparent), computed once per process."""
+    return source_digest(Path(__file__).resolve().parent.parent)
+
+
 @dataclass(frozen=True)
 class CacheKey:
     """The full set of inputs that determine one cell's result."""
@@ -140,8 +171,8 @@ class CacheKey:
     simulator: str
     config_hash: str
     workload: str
-    trace_fingerprint: str
-    package_version: str
+    program_digest: str
+    model_digest: str
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -149,6 +180,13 @@ class CacheKey:
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:32]
+
+
+def cell_key(simulator: str, config_hash: str, workload: str,
+             program_digest: str) -> CacheKey:
+    """The key of one grid cell under this process's model."""
+    return CacheKey(simulator, config_hash, workload, program_digest,
+                    model_digest())
 
 
 class ResultCache:
@@ -179,41 +217,36 @@ class ResultCache:
     def get(self, key: CacheKey) -> Optional[SimResult]:
         """The stored result for ``key``, or None on miss.
 
-        A present-but-untrustworthy entry (unreadable, undecodable, or
-        carrying a different key) is deleted and counted as an
-        invalidation in addition to the miss.
+        A present-but-untrustworthy entry (unreadable, undecodable, not
+        a JSON object, or carrying a different key) is deleted and
+        counted as an invalidation in addition to the miss.
         """
         path = self._path(key)
-        payload = None
         try:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)
+            if payload["key"] != key.to_dict():
+                raise ValueError("the entry holds another key")
+            result = SimResult.from_dict(payload["result"])
         except FileNotFoundError:
-            pass
-        except (OSError, ValueError):
+            result = None
+        except (OSError, ValueError, LookupError, TypeError,
+                AttributeError):
             self._drop(path)
-        if payload is not None:
-            if payload.get("key") == key.to_dict():
-                try:
-                    result = SimResult.from_dict(payload["result"])
-                except (KeyError, TypeError, ValueError):
-                    self._drop(path)
-                else:
-                    self.hits += 1
-                    self._count("hits")
-                    try:
-                        # Refresh mtime: recency is the LRU eviction
-                        # order :meth:`gc` uses, so a hit keeps an
-                        # entry alive.
-                        os.utime(path)
-                    except OSError:  # pragma: no cover - races
-                        pass
-                    return result
-            else:
-                self._drop(path)
-        self.misses += 1
-        self._count("misses")
-        return None
+            result = None
+        if result is None:
+            self.misses += 1
+            self._count("misses")
+            return None
+        self.hits += 1
+        self._count("hits")
+        try:
+            # Refresh mtime: recency is the LRU eviction order
+            # :meth:`gc` uses, so a hit keeps an entry alive.
+            os.utime(path)
+        except OSError:  # pragma: no cover - races
+            pass
+        return result
 
     def get_digest(self, digest: str) -> Optional[Dict]:
         """The raw stored payload (key + result dicts) for an entry
@@ -221,7 +254,7 @@ class ResultCache:
         ``GET /v1/cells/{cache_key}`` serves.  Unlike :meth:`get` there
         is no probe key to validate against, so the stored payload is
         only checked for shape; unreadable entries return None without
-        being invalidated (the keyed path owns repair).  Not counted as
+        being invalidated (:meth:`get` owns repair).  Not counted as
         cache traffic."""
         if not digest or not all(
             c in "0123456789abcdef" for c in digest
@@ -235,7 +268,7 @@ class ResultCache:
             return None
         if (
             not isinstance(payload, dict)
-            or payload.get("format") != "repro-result-cache/1"
+            or payload.get("format") != _FORMAT
             or "result" not in payload
         ):
             return None
@@ -246,7 +279,7 @@ class ResultCache:
         (overwrites): once this returns, the entry survives a crash or
         power loss, so a resumed grid may skip the cell."""
         payload = {
-            "format": "repro-result-cache/1",
+            "format": _FORMAT,
             "key": key.to_dict(),
             "result": result.to_dict(),
         }

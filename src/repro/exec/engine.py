@@ -5,14 +5,16 @@ re-visited by every table.  This engine executes its cells
 
 * **memoized** — each cell is content-addressed by its
   :class:`~repro.exec.cache.CacheKey` (configuration hash, workload
-  trace fingerprint, package version) and recomputed only when an
-  input changed;
+  program digest, model source digest) and recomputed only when an
+  input changed; a key needs no trace, so a warm grid runs the
+  functional machine zero times;
 * **in process or in parallel** — at ``jobs=1`` cells run one after
   another in this process; above it, cache misses fan out over a pool
   of forked worker processes (``jobs`` wide), each measuring one cell
   and shipping its :class:`~repro.validation.harness.CellOutcome` back
-  over a pipe.  Traces are built once in the parent and inherited by
-  the workers through fork, so no worker ever rebuilds a workload;
+  over a pipe.  The traces of the cells that miss are built once in
+  the parent and inherited by the workers through fork, so no worker
+  ever rebuilds a workload;
 * **fault-isolated** — every cell is measured and classified by
   :func:`~repro.validation.harness.run_cell`; a cell that raises, dies,
   or exceeds its per-cell ``timeout`` is retried up to ``retries``
@@ -39,14 +41,15 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.blockcache import BLOCKCACHE_VERSION
-from repro.exec.cache import CacheKey, ResultCache, fingerprint_trace
+from repro.exec.cache import CacheKey, ResultCache, cell_key
+# Unused: perfbench's --trace 1 patches this name (KeyError without it).
+from repro.exec.cache import fingerprint_trace  # noqa: F401
 from repro.exec.spec import RunOptions
 from repro.integrity.checkpoint import GridCheckpoint
 from repro.integrity.sanitizers import IntegrityError, Sanitizers
 from repro.integrity.watchdog import install_escalation_handler
 from repro.obs.observer import Instrumentation
-from repro.obs.provenance import _package_version, config_hash
+from repro.obs.provenance import config_hash
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import GridProgress, RunLedger, mirror_to_metrics
 from repro.result import SimResult
@@ -68,6 +71,10 @@ __all__ = [
 #: Failure kinds worth another attempt.  Quarantines and livelocks are
 #: deterministic model defects: retrying them only burns the budget.
 _RETRIED_KINDS = frozenset({"exception", "crash", "timeout"})
+
+#: Seconds a wall-clock-expired worker gets, after SIGUSR1, to send its
+#: ``"stuck"`` diagnosis before it is terminated.
+ESCALATION_GRACE_S = 1.0
 
 
 class RetryBackoff:
@@ -114,7 +121,7 @@ class _Cell:
     sim_name: str
     factory: SimulatorFactory
     workload: str
-    key: Optional[CacheKey]
+    key: CacheKey
 
 
 @dataclass
@@ -128,37 +135,15 @@ class _Attempt:
     attempt: int
 
 
-def _grid_cell_key(
-    sim_name: str, cfg_hash: str, workload: str, trace_fp: str, blockcache
-) -> CacheKey:
-    version = _package_version()
-    if blockcache is not False:
-        # The fast path may engage for this cell: bind the entry to
-        # the blockcache semantics version so a memoization change can
-        # never serve stale cached results.
-        version = f"{version}+bc{BLOCKCACHE_VERSION}"
-    return CacheKey(
-        simulator=sim_name,
-        config_hash=cfg_hash,
-        workload=workload,
-        trace_fingerprint=trace_fp,
-        package_version=version,
-    )
-
-
 def grid_cells(
     workloads: WorkloadSet,
     factories: Sequence[SimulatorFactory],
     workload_names: Sequence[str],
-    *,
-    blockcache=None,
-    keyed: bool = True,
 ) -> List[_Cell]:
     """Build the (simulator x workload) cell list in serial grid order.
 
-    Probes each factory once for its identity, builds every trace (the
-    :class:`WorkloadSet` caches them for inheriting workers), and
-    content-addresses each cell when ``keyed``.
+    Probes each factory once for its identity and content-addresses
+    each cell by its workload's program digest; builds no trace.
     """
     probes = []
     for factory in factories:
@@ -167,21 +152,11 @@ def grid_cells(
             simulator.name,
             config_hash(getattr(simulator, "config", None)),
         ))
-    fingerprints: Dict[str, str] = {}
-    for name in workload_names:
-        trace = workloads.trace(name)
-        if keyed:
-            fingerprints[name] = fingerprint_trace(trace)
     cells: List[_Cell] = []
     for name in workload_names:
+        digest = workloads.program_digest(name)
         for (sim_name, cfg_hash), factory in zip(probes, factories):
-            key = (
-                _grid_cell_key(
-                    sim_name, cfg_hash, name, fingerprints[name],
-                    blockcache,
-                )
-                if keyed else None
-            )
+            key = cell_key(sim_name, cfg_hash, name, digest)
             cells.append(_Cell(len(cells), sim_name, factory, name, key))
     return cells
 
@@ -297,15 +272,16 @@ class ExperimentEngine:
     Parameters
     ----------
     workloads:
-        The shared :class:`WorkloadSet` (traces are built once here,
-        in the parent, before any worker forks).
+        The shared :class:`WorkloadSet` (the traces of the cells that
+        miss are built once here, in the parent, before any worker
+        forks).
     options:
         A :class:`repro.exec.spec.RunOptions` carrying the execution
         envelope — ``jobs`` (pool width; ``1`` runs cells in process,
         still with cache and fault isolation), ``cache`` (a
         :class:`ResultCache` or directory path), ``timeout`` (per-cell
         wall-clock budget, pool mode; an expired worker is escalated
-        over SIGUSR1 with ``escalation_grace_s`` to dump a
+        over SIGUSR1 with :data:`ESCALATION_GRACE_S` to dump a
         :class:`SimulationStuck` diagnosis, then terminated),
         ``retries``, ``checkpoint``/``resume`` (a
         :class:`repro.integrity.GridCheckpoint` or journal path;
@@ -313,8 +289,9 @@ class ExperimentEngine:
         cannot be read raises before anything runs, leaving the file
         as it was, with or without ``resume``), ``ledger`` and
         ``live_progress``, and the single-cell options every cell runs
-        under (``watchdog_s``, ``blockcache`` — mixed into cache keys
-        whenever the fast path may engage — and ``dram_backend``).
+        under (``watchdog_s``, ``blockcache`` — byte-identical to the
+        detailed loop, so on and off share cache entries — and
+        ``dram_backend``).
     metrics:
         A :class:`MetricsRegistry`; receives ``exec.cache.*`` traffic
         counters, ``exec.cells.*`` counters and per-cell telemetry.
@@ -367,25 +344,6 @@ class ExperimentEngine:
             else None
         )
 
-    # -- keys --------------------------------------------------------------
-
-    def _cell_key(
-        self, sim_name: str, cfg_hash: str, workload: str, trace_fp: str
-    ) -> CacheKey:
-        return _grid_cell_key(
-            sim_name, cfg_hash, workload, trace_fp, self.options.blockcache
-        )
-
-    def _cells(self, factories, names) -> List[_Cell]:
-        # Content-addressed only when a cache or journal needs the
-        # keys: fingerprinting every trace costs more than a small
-        # grid does.
-        return grid_cells(
-            self.workloads, with_backend(factories, self.options), names,
-            blockcache=self.options.blockcache,
-            keyed=self.cache is not None or self.checkpoint is not None,
-        )
-
     # -- the grid ----------------------------------------------------------
 
     def run_grid(
@@ -411,7 +369,10 @@ class ExperimentEngine:
             entries = len(self.checkpoint.load())
             if self.options.resume:
                 self.metrics.gauge("exec.checkpoint.entries").set(entries)
-        cells = self._cells(factories, list(workload_names))
+        cells = grid_cells(
+            self.workloads, with_backend(factories, self.options),
+            list(workload_names),
+        )
         sink = Settlement(
             len(cells), self.options,
             cache=self.cache, checkpoint=self.checkpoint,
@@ -420,6 +381,9 @@ class ExperimentEngine:
             to_run = [
                 cell for cell in cells if not self._serve_hit(cell, sink)
             ]
+            # Only misses need a trace; pool workers inherit it by fork.
+            for name in dict.fromkeys(cell.workload for cell in to_run):
+                self.workloads.trace(name)
             if to_run and self.jobs > 1 and self._ctx is not None:
                 self._run_pool(to_run, sink, instrumentation, progress)
             else:
@@ -436,8 +400,6 @@ class ExperimentEngine:
     def _serve_hit(self, cell: _Cell, sink: Settlement) -> bool:
         """Settle ``cell`` from the checkpoint journal (resuming) or the
         result cache; ``False`` means it must run."""
-        if cell.key is None:
-            return False
         if self.checkpoint is not None and self.options.resume:
             hit = self.checkpoint.get(cell.key.digest())
             if hit is not None:
@@ -507,7 +469,7 @@ class ExperimentEngine:
         """Ask a wall-clock-expired worker for a diagnosis before the
         kill: forward SIGUSR1 (the worker's escalation handler raises
         :class:`SimulationStuck` wherever it is hung) and grant
-        ``escalation_grace_s`` for the resulting ``"stuck"`` outcome
+        :data:`ESCALATION_GRACE_S` for the resulting ``"stuck"`` outcome
         to arrive on the pipe.  Returns its failure, or ``None`` if the
         worker could not be signalled or did not answer in time —
         either way the caller still terminates it."""
@@ -518,8 +480,7 @@ class ExperimentEngine:
         except (ProcessLookupError, OSError):
             return None
         try:
-            grace = max(0.0, self.options.escalation_grace_s)
-            if not attempt.conn.poll(grace):
+            if not attempt.conn.poll(ESCALATION_GRACE_S):
                 return None
             dumped = attempt.conn.recv()
         except (EOFError, OSError):

@@ -121,8 +121,6 @@ class RunOptions:
     #: Trace-compilation control: None = simulator default, False =
     #: detailed loop only, True = force on, or a ``BlockCacheConfig``.
     blockcache: Optional[object] = None
-    #: Post-SIGUSR1 grace for a wall-clock-expired worker's diagnosis.
-    escalation_grace_s: float = 1.0
     #: DRAM timing model for every simulator in the grid (a registered
     #: :mod:`repro.dram.backends` name; None = each simulator's
     #: configured backend).  Measurement-relevant: it rewrites the
@@ -147,11 +145,6 @@ class RunOptions:
         if self.watchdog_s is not None and self.watchdog_s <= 0:
             raise SpecError(
                 f"watchdog_s must be positive (got {self.watchdog_s})"
-            )
-        if self.escalation_grace_s < 0:
-            raise SpecError(
-                f"escalation_grace_s must be >= 0 "
-                f"(got {self.escalation_grace_s})"
             )
         if self.dram_backend is not None:
             from repro.dram.config import known_backend_names

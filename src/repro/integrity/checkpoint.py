@@ -12,9 +12,9 @@ loses at most the last ``every - 1`` cells.
 On the next run, ``resume=True`` loads the journal and satisfies any
 cell whose digest matches a recorded entry, so only the missing cells
 execute.  Because entries are keyed by the same digest the result
-cache uses (configuration hash + trace fingerprint + package version),
-a checkpoint can never resurrect a stale result for a changed
-configuration: the digest simply will not match.
+cache uses (configuration hash + program digest + model source
+digest), a checkpoint can never resurrect a stale result for a changed
+configuration, program or model: the digest simply will not match.
 
 The journal always *merges* on flush — existing entries on disk are
 loaded first even when not resuming — so two interleaved runs over
@@ -48,8 +48,8 @@ class CheckpointConflict(ValueError):
     """Two journal entries under the same digest hold *different*
     measurements.
 
-    The digest binds configuration hash, trace fingerprint and package
-    version, so any two honest recomputations of the same digest must
+    The digest binds configuration hash, program digest and model
+    source digest, so any two honest recomputations of the same digest must
     agree canonically (volatile provenance/telemetry aside).  A
     mismatch means one of the journals is corrupt or the determinism
     invariant broke — silently keeping either payload would launder the

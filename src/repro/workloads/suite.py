@@ -12,6 +12,7 @@ from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.functional.machine import run_program
 from repro.functional.trace import DynInstr
+from repro.isa import loader
 from repro.isa.program import Program
 from repro.workloads.calibration import calibration_suite
 from repro.workloads.macro import (
@@ -78,11 +79,13 @@ def spec95_names() -> List[str]:
 
 
 class WorkloadSet:
-    """Builds workloads on demand and caches programs and traces."""
+    """Builds workloads on demand and caches programs, their digests
+    and their traces."""
 
     def __init__(self) -> None:
         self._builders: Dict[str, Callable[[], Program]] = {}
         self._programs: Dict[str, Program] = {}
+        self._digests: Dict[str, str] = {}
         self._traces: Dict[str, List[DynInstr]] = {}
         for name, builder in MICROBENCHMARKS.items():
             self._builders[name] = builder
@@ -96,9 +99,12 @@ class WorkloadSet:
             )
 
     def register(self, program: Program) -> None:
-        """Add a pre-built program under its own name."""
+        """Add a pre-built program under its own name, replacing any
+        program, digest and trace cached under that name."""
         self._programs[program.name] = program
         self._builders[program.name] = lambda: program
+        self._digests.pop(program.name, None)
+        self._traces.pop(program.name, None)
 
     def register_calibration(self) -> List[str]:
         """Add the Section 4.2 calibration workloads; returns names."""
@@ -121,6 +127,13 @@ class WorkloadSet:
                 ) from None
             self._programs[name] = builder()
         return self._programs[name]
+
+    def program_digest(self, name: str) -> str:
+        """:func:`repro.isa.loader.program_digest` of ``name``'s
+        program, computed once (encoding a large program takes ms)."""
+        if name not in self._digests:
+            self._digests[name] = loader.program_digest(self.program(name))
+        return self._digests[name]
 
     def trace(self, name: str) -> List[DynInstr]:
         """The cached dynamic trace for ``name`` (built on first use)."""

@@ -18,7 +18,6 @@ import os
 import pytest
 
 from repro.core.blockcache import (
-    BLOCKCACHE_VERSION,
     BlockCacheConfig,
     resolve_blockcache,
 )
@@ -173,31 +172,6 @@ class TestConfigResolution:
     def test_rejects_junk(self):
         with pytest.raises(TypeError):
             resolve_blockcache("on")
-
-
-class TestCacheKeyVersioning:
-    """Result-cache entries must be bound to the blockcache version."""
-
-    def _key(self, blockcache):
-        from repro.exec.engine import ExperimentEngine
-
-        from repro.exec.spec import RunOptions
-
-        engine = ExperimentEngine(
-            WorkloadSet(), RunOptions(jobs=1, blockcache=blockcache)
-        )
-        return engine._cell_key("sim-alpha", "cfg", "M-I", "fp")
-
-    def test_default_key_carries_blockcache_version(self):
-        assert f"+bc{BLOCKCACHE_VERSION}" in self._key(
-            None
-        ).package_version
-
-    def test_disabled_key_is_unversioned(self):
-        assert "+bc" not in self._key(False).package_version
-
-    def test_keys_differ_so_stale_entries_cannot_be_served(self):
-        assert self._key(None) != self._key(False)
 
 
 class TestBenchKernelRegistry:

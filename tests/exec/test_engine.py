@@ -125,7 +125,7 @@ class TestFaultIsolation:
 
         engine = ExperimentEngine(
             harness.workloads,
-            RunOptions(jobs=2, timeout=0.5, escalation_grace_s=0.2),
+            RunOptions(jobs=2, timeout=0.5),
         )
         started = time_module.perf_counter()
         grid = engine.run_grid(

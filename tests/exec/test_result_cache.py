@@ -36,8 +36,8 @@ def make_key(**overrides) -> CacheKey:
         simulator="sim-alpha",
         config_hash="deadbeefdeadbeef",
         workload="C-R",
-        trace_fingerprint="abc123",
-        package_version="1.0.0",
+        program_digest="abc123",
+        model_digest="0f" * 32,
     )
     payload.update(overrides)
     return CacheKey(**payload)
@@ -59,8 +59,8 @@ class TestCacheKey:
         assert make_key(simulator="sim-outorder").digest() != base
         assert make_key(config_hash="0" * 16).digest() != base
         assert make_key(workload="M-D").digest() != base
-        assert make_key(trace_fingerprint="zzz").digest() != base
-        assert make_key(package_version="2.0.0").digest() != base
+        assert make_key(program_digest="zzz").digest() != base
+        assert make_key(model_digest="1e" * 32).digest() != base
 
 
 class TestFingerprint:
@@ -130,15 +130,18 @@ class TestResultCache:
         }
 
     def test_corrupt_entry_is_invalidated(self, tmp_path):
+        """Undecodable JSON, and valid JSON that is not an entry
+        object, are both deleted and recomputed, never raised."""
         cache = ResultCache(tmp_path)
         key = make_key()
-        cache.put(key, make_result())
-        path = os.path.join(cache.root, key.digest() + ".json")
-        with open(path, "w") as handle:
-            handle.write("{ not json")
-        assert cache.get(key) is None
-        assert cache.invalidations == 1
-        assert not os.path.exists(path)
+        for count, text in enumerate(("{ not json", "[1, 2]"), 1):
+            cache.put(key, make_result())
+            path = os.path.join(cache.root, key.digest() + ".json")
+            with open(path, "w") as handle:
+                handle.write(text)
+            assert cache.get(key) is None
+            assert cache.invalidations == count
+            assert not os.path.exists(path)
 
     def test_key_mismatch_is_invalidated(self, tmp_path):
         """A digest collision (or hand-edited entry) must not be
@@ -147,7 +150,7 @@ class TestResultCache:
         key = make_key()
         other = make_key(workload="M-D")
         payload = {
-            "format": "repro-result-cache/1",
+            "format": "repro-result-cache/2",
             "key": other.to_dict(),
             "result": make_result().to_dict(),
         }

@@ -38,8 +38,6 @@ _run_options = st.builds(
     watchdog_s=st.none() | st.floats(min_value=0.5, max_value=60.0,
                                      allow_nan=False),
     blockcache=st.none() | st.booleans(),
-    escalation_grace_s=st.floats(min_value=0.0, max_value=10.0,
-                                 allow_nan=False),
     dram_backend=st.none() | st.sampled_from(
         ["sdram", "closed-page", "ddr4", "ideal"]
     ),
@@ -145,6 +143,9 @@ def test_unknown_options_key_rejected():
         RunOptions.from_dict({"shards": 1})
     with pytest.raises(SpecError, match="unknown RunOptions key"):
         RunOptions.from_dict({"refresh": False})
+    # ...and before the escalation grace became an engine constant.
+    with pytest.raises(SpecError, match="unknown RunOptions key"):
+        RunOptions.from_dict({"escalation_grace_s": 1.0})
 
 
 def test_empty_grid_rejected():

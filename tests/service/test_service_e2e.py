@@ -333,7 +333,11 @@ def test_cells_endpoint_serves_cached_results(server, fake_sims):
     ]
     assert digests
     payload = client.cell(digests[0])
-    assert payload["format"] == "repro-result-cache/1"
+    assert payload["format"] == "repro-result-cache/2"
+    assert sorted(payload["key"]) == [
+        "config_hash", "model_digest", "program_digest", "simulator",
+        "workload",
+    ]
     assert "result" in payload
     with pytest.raises(ServiceError) as excinfo:
         client.cell("0" * 16)
