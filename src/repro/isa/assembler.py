@@ -188,6 +188,8 @@ def _alu(
     imm: Optional[int] = None
     symbol: Optional[str] = None
     for operand in operands[1:]:
+        if operand.startswith(("#", "=")) and imm is not None:
+            raise ValueError("an operate takes at most one immediate")
         if operand.startswith("#"):
             imm = _parse_int(operand[1:])
         elif operand.startswith("="):
@@ -197,6 +199,12 @@ def _alu(
             srcs.append(operand)
         else:
             raise ValueError(f"unknown operand {operand!r}")
+    if len(srcs) + (imm is not None) > 2:
+        # The machine and the encoding honour rb XOR a literal.
+        raise ValueError(
+            "an operate takes two register sources or one source plus "
+            "an immediate"
+        )
     if not srcs:
         srcs = ["r31"]  # immediate-only forms read the zero register
     index = builder.emit(opcode, dest=dest, srcs=tuple(srcs), imm=imm)

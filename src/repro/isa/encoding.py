@@ -55,13 +55,16 @@ _DISP_BITS = 16
 _DISP_MAX = (1 << (_DISP_BITS - 1)) - 1
 _DISP_MIN = -(1 << (_DISP_BITS - 1))
 _BDISP_BITS = 21
+_MASK64 = (1 << 64) - 1
 
 
 def _reg_number(name: str | None) -> int:
+    """The 5-bit field of register ``name``: its number within its own
+    file (the opcode says which file)."""
     if name is None:
         return 31  # encodes as the zero register
     try:
-        return _REG_NUMBERS[name]
+        return _REG_NUMBERS[name] & 31
     except KeyError:
         raise EncodingError(f"not an encodable register: {name!r}") from None
 
@@ -89,7 +92,7 @@ def encode_instruction(
             )
         ra = _reg_number(instr.dest if klass.is_load else instr.srcs[0])
         rb = _reg_number(instr.base)
-        return word | (ra << 21) | ((rb & 31) << 16) | (
+        return word | (ra << 21) | (rb << 16) | (
             instr.disp & ((1 << _DISP_BITS) - 1)
         )
 
@@ -99,7 +102,7 @@ def encode_instruction(
         ):
             ra = _reg_number(instr.dest)
             rb = _reg_number(instr.srcs[0] if instr.srcs else None)
-            return word | (ra << 21) | ((rb & 31) << 16)
+            return word | (ra << 21) | (rb << 16)
         if target_index is None:
             raise EncodingError(
                 f"{instr} needs a resolved target index to encode"
@@ -123,7 +126,7 @@ def encode_instruction(
                 f"{instr}: operate takes registers or a literal, not both"
             )
         rb = _reg_number(instr.srcs[0] if instr.srcs else None)
-        word |= (rb & 31) << 16
+        word |= rb << 16
         word |= 1 << 15  # literal flag
         if _LIT_MIN <= instr.imm <= _LIT_MAX:
             return word | (instr.imm & ((1 << _LIT_BITS) - 1))
@@ -131,18 +134,21 @@ def encode_instruction(
             raise EncodingError(
                 f"immediate {instr.imm} needs a constant pool"
             )
-        pool.append(instr.imm)
+        # The machine uses an immediate as a 64-bit pattern; pool that
+        # pattern, signed, so every immediate fits the pool's "<q".
+        value = instr.imm & _MASK64
+        pool.append(value - (1 << 64) if value >> 63 else value)
         index = len(pool) - 1
         if index >= (1 << (_LIT_BITS - 1)):
             raise EncodingError("constant pool overflow")
         return word | (1 << 14) | index
     rb = _reg_number(instr.srcs[0] if instr.srcs else None)
     rc = _reg_number(instr.srcs[1] if len(instr.srcs) > 1 else None)
-    return word | ((rb & 31) << 16) | ((rc & 31) << 8)
+    return word | (rb << 16) | (rc << 8)
 
 
 def decode_instruction(
-    word: int, *, pool: List[int] | None = None, fp_hint: bool = False
+    word: int, *, pool: List[int] | None = None
 ) -> Tuple[Instruction, int | None]:
     """Decode a 32-bit word back to (Instruction, target_index|None)."""
     op_number = (word >> 26) & 63
@@ -151,9 +157,6 @@ def decode_instruction(
     except KeyError:
         raise EncodingError(f"unknown opcode number {op_number}") from None
     klass = opcode.klass
-
-    def reg(number: int, fp: bool) -> str:
-        return _NUMBER_REGS[number + (32 if fp and number < 32 else 0)]
 
     ra_num = (word >> 21) & 31
     rb_num = (word >> 16) & 31
@@ -216,7 +219,7 @@ def decode_instruction(
 
 
 _MAGIC = b"RPRO"
-_VERSION = 2
+_VERSION = 3
 
 
 def encode_program(program: Program) -> bytes:

@@ -136,3 +136,14 @@ def test_bad_directive():
 def test_immediate_only_form_reads_zero_register():
     program = assemble("lda r1, #7\nhalt")
     assert program.instructions[0].srcs == ("r31",)
+
+
+@pytest.mark.parametrize("line", [
+    "addq r3, r1, r2, #5",    # two register sources and an immediate
+    "addq r3, r1, #5, #6",    # two immediates
+    "lda r3, =table, #6",
+    "addq r3, r1, r2, r4",    # three register sources
+])
+def test_operate_the_machine_cannot_honour_is_rejected(line):
+    with pytest.raises(AssemblerError, match=r"line 3: bad operands"):
+        assemble(f".word table 1\nlda r9, #1\n{line}\nhalt")

@@ -12,6 +12,7 @@ from repro.isa.encoding import (
     encode_program,
 )
 from repro.isa.instructions import Instruction, Opcode
+from repro.isa.program import Program
 from repro.workloads.kernels import bubble_sort, checksum
 from repro.workloads.micro import control_switch, execute_dependent
 
@@ -46,21 +47,29 @@ class TestInstructionRoundtrip:
         assert decoded.imm == -16
 
     def test_large_literal_uses_pool(self):
-        pool = []
-        decoded, _ = _roundtrip(
-            Instruction(Opcode.LDA, dest="r9", srcs=("r31",),
-                        imm=0x10000000),
-            pool=pool,
-        )
-        assert pool == [0x10000000]
-        assert decoded.imm == 0x10000000
+        # An immediate in [2^63, 2^64) is pooled as its signed pattern.
+        for imm, pooled in ((0x10000000, 0x10000000), (2**64 - 8, -8)):
+            instr = Instruction(Opcode.LDA, dest="r9", srcs=("r31",),
+                                imm=imm)
+            pool = []
+            decoded, _ = _roundtrip(instr, pool=pool)
+            assert pool == [pooled]
+            image = encode_program(
+                Program([instr, Instruction(Opcode.HALT)])
+            )
+            # The machine masks an immediate to 64 bits, so the pattern
+            # is what must survive.
+            for got in (decoded, decode_program(image).instructions[0]):
+                assert got.imm & (2**64 - 1) == imm
 
     def test_fp_operate(self):
-        decoded, _ = _roundtrip(
-            Instruction(Opcode.ADDT, dest="f1", srcs=("f2", "f3"))
-        )
-        assert decoded.dest == "f1"
-        assert decoded.srcs == ("f2", "f3")
+        for opcode in (op for op in Opcode if op.klass.is_fp_operate):
+            decoded, _ = _roundtrip(
+                Instruction(opcode, dest="f1", srcs=("f2", "f3"))
+            )
+            assert decoded.opcode is opcode
+            assert decoded.dest == "f1"
+            assert decoded.srcs == ("f2", "f3")
 
     def test_load_store(self):
         load, _ = _roundtrip(
@@ -73,10 +82,12 @@ class TestInstructionRoundtrip:
         assert store.srcs == ("r3",) and store.disp == 24
 
     def test_fp_load(self):
-        decoded, _ = _roundtrip(
-            Instruction(Opcode.LDT, dest="f7", base="r2", disp=0)
-        )
-        assert decoded.dest == "f7"
+        for instr in (
+            Instruction(Opcode.LDT, dest="f7", base="r2", disp=0),
+            Instruction(Opcode.STT, srcs=("f6",), base="r2", disp=8),
+        ):
+            decoded, _ = _roundtrip(instr)
+            assert decoded == instr
 
     def test_branch_carries_target(self):
         decoded, target = _roundtrip(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.simalpha import SimAlpha
 from repro.functional.checkpoint import (
     load_checkpoint,
     restore,
@@ -11,8 +12,31 @@ from repro.functional.checkpoint import (
 from repro.functional.machine import FunctionalMachine
 from repro.isa.assembler import assemble
 from repro.isa.loader import load_program, program_digest, save_program
+from repro.isa.program import ProgramBuilder
+from repro.validation.harness import Harness
 from repro.workloads.kernels import checksum
+from repro.workloads.macro import SPEC2000_PROFILES, build_macro
 from repro.workloads.micro import control_recursive
+from repro.workloads.suite import WorkloadSet
+from tests.test_canonical_lock import all_classes_kernel
+
+
+def _fp_loop(mnemonic: str):
+    return assemble(f"""
+        lda r1, #100
+    loop:
+        {mnemonic} f3, f1, f2
+        subq r1, r1, #1
+        bne r1, loop
+        halt
+    """)
+
+
+def _canonical_grid(program) -> str:
+    workloads = WorkloadSet()
+    workloads.register(program)
+    grid = Harness(workloads).run_grid([SimAlpha], [program.name])
+    return grid.to_json(canonical=True)
 
 
 class TestLoader:
@@ -30,18 +54,36 @@ class TestLoader:
         c = checksum(words=65)
         assert program_digest(a) == program_digest(b)
         assert program_digest(a) != program_digest(c)
+        # One opcode apart, and sim-alpha times them 165 and 1,257
+        # cycles: a shared digest would let one be served the other's
+        # cached result.
+        assert program_digest(_fp_loop("mult")) != program_digest(
+            _fp_loop("divs")
+        )
 
     def test_reloaded_program_times_identically(self, tmp_path):
-        from repro.core.simalpha import SimAlpha
-        from repro.functional.machine import run_program
+        for program in (
+            control_recursive(depth=50, outer=3),
+            build_macro(SPEC2000_PROFILES["equake"]),
+            all_classes_kernel(),
+        ):
+            path = tmp_path / f"{program.name}.img"
+            save_program(program, path)
+            reloaded = load_program(path)
+            assert _canonical_grid(reloaded) == _canonical_grid(program)
 
-        program = control_recursive(depth=50, outer=3)
-        path = tmp_path / "cr.img"
-        save_program(program, path)
-        reloaded = load_program(path)
-        original = SimAlpha().run_trace(run_program(program), "C-R")
-        replayed = SimAlpha().run_trace(run_program(reloaded), "C-R")
-        assert original.cycles == replayed.cycles
+    def test_grid_over_a_full_width_immediate(self):
+        """An immediate in [2^63, 2^64) is a 64-bit pattern to the
+        machine, and every grid keys its cells by the program's
+        encoding."""
+        b = ProgramBuilder("wide-imm")
+        b.load_imm("r1", 2**64 - 8)
+        b.halt()
+        workloads = WorkloadSet()
+        workloads.register(b.build())
+        grid = Harness(workloads).run_grid([SimAlpha], ["wide-imm"])
+        assert not grid.failures
+        assert grid.get("sim-alpha", "wide-imm").instructions == 2
 
 
 class TestCheckpoint:
