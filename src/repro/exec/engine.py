@@ -14,7 +14,10 @@ re-visited by every table.  This engine executes its cells
   and shipping its :class:`~repro.validation.harness.CellOutcome` back
   over a pipe.  The traces of the cells that miss are built once in
   the parent and inherited by the workers through fork, so no worker
-  ever rebuilds a workload;
+  ever rebuilds a workload.  A grid given an enabled
+  :class:`~repro.obs.observer.Instrumentation` runs its misses in
+  process whatever ``jobs`` says (its observers would die with a
+  worker), and its ``exec.jobs`` gauge reads 1;
 * **fault-isolated** — every cell is measured and classified by
   :func:`~repro.validation.harness.run_cell`; a cell that raises, dies,
   or exceeds its per-cell ``timeout`` is retried up to ``retries``
@@ -24,8 +27,21 @@ re-visited by every table.  This engine executes its cells
 
 Every settled cell goes through one :class:`Settlement` (result cache,
 checkpoint journal, run ledger, progress line), in process or from the
-pool.  Results are inserted into the :class:`ResultGrid` in serial
-grid order, so every execution mode serialises identically.
+pool, and a freshly measured one records its metric series
+(:func:`~repro.validation.harness.record_cell`) in this process in
+both modes.  Results are inserted into the :class:`ResultGrid` in
+serial grid order, so every execution mode serialises identically.
+
+``progress(simulator, workload)`` runs before each attempt starts (in
+the pool, before its worker forks).  If it raises, no further cell
+starts; in the pool the cells already running finish and settle
+first, and then the exception propagates.  A caller stopping a grid
+from ``progress`` (the job service's drain) therefore loses no
+started cell, at ``jobs=1`` or above.  A worker killed by a SIGTERM
+the engine did not send (one sent to the whole process group, as a
+service manager stopping the service does) has not failed its cell:
+the cell runs again, once, and is counted in
+``exec.cells.interrupted``.
 """
 
 from __future__ import annotations
@@ -51,7 +67,7 @@ from repro.integrity.watchdog import install_escalation_handler
 from repro.obs.observer import Instrumentation
 from repro.obs.provenance import config_hash
 from repro.obs.registry import MetricsRegistry
-from repro.obs.telemetry import GridProgress, RunLedger, mirror_to_metrics
+from repro.obs.telemetry import GridProgress, RunLedger
 from repro.result import SimResult
 from repro.validation.harness import (
     CellFailure,
@@ -59,6 +75,7 @@ from repro.validation.harness import (
     ResultGrid,
     SimulatorFactory,
     _with_dram_backend,
+    record_cell,
     run_cell,
 )
 from repro.workloads.suite import WorkloadSet
@@ -241,7 +258,7 @@ class Settlement:
             self.ledger.close()
 
 
-def _worker_main(conn, engine, cell, instrumentation) -> None:
+def _worker_main(conn, engine, cell) -> None:
     """Body of one forked pool worker: measure one cell exactly as the
     in-process loop does and pickle its :class:`CellOutcome` back.  A
     strict sanitizer bundle's :class:`IntegrityError` is sent instead,
@@ -252,11 +269,13 @@ def _worker_main(conn, engine, cell, instrumentation) -> None:
     # parent-side teardown instead of a KeyboardInterrupt traceback
     # stampede from every pool worker.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # ``terminate()`` is how the parent stops a worker; a SIGTERM
+    # handler inherited from the parent (``repro-serve``'s drain) would
+    # swallow it and leave a timed-out cell running to its end.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     install_escalation_handler()
     try:
-        message = engine._measure(
-            cell.factory, cell.workload, instrumentation
-        )
+        message = engine._measure(cell.factory, cell.workload, None)
     except IntegrityError as exc:
         message = exc
     try:
@@ -359,9 +378,14 @@ class ExperimentEngine:
         The returned grid holds a result for every cell that completed
         and a :class:`CellFailure` for every cell that exhausted its
         attempts, in serial iteration order.  ``progress(simulator,
-        workload)`` is called before each attempt.
+        workload)`` is called before each attempt; an exception from it
+        stops the grid once the cells already running have settled.
         """
-        self.metrics.gauge("exec.jobs").set(self.jobs)
+        instrumented = (
+            instrumentation is not None and instrumentation.enabled
+        )
+        jobs = 1 if instrumented else self.jobs
+        self.metrics.gauge("exec.jobs").set(jobs)
         if self.checkpoint is not None:
             # Outside the ``try``, resuming or not: a file that is not a
             # journal raises here, before any cell runs or is recorded
@@ -384,8 +408,8 @@ class ExperimentEngine:
             # Only misses need a trace; pool workers inherit it by fork.
             for name in dict.fromkeys(cell.workload for cell in to_run):
                 self.workloads.trace(name)
-            if to_run and self.jobs > 1 and self._ctx is not None:
-                self._run_pool(to_run, sink, instrumentation, progress)
+            if to_run and jobs > 1 and self._ctx is not None:
+                self._run_pool(to_run, sink, progress)
             else:
                 for cell in to_run:
                     self._run_inline(cell, sink, instrumentation, progress)
@@ -419,7 +443,7 @@ class ExperimentEngine:
         return run_cell(
             factory, workload, self.workloads.trace(workload),
             options=self.options, sanitizers=self.sanitizers,
-            instrumentation=instrumentation, metrics=self.metrics,
+            instrumentation=instrumentation,
         )
 
     def _settle(self, cell: _Cell, outcome: CellOutcome, attempt: int,
@@ -429,6 +453,10 @@ class ExperimentEngine:
         failure = outcome.failure
         if failure is None:
             self.metrics.counter("exec.cells.completed").inc()
+            record_cell(
+                self.metrics, cell.sim_name, cell.workload,
+                outcome.result.telemetry,
+            )
             sink.result(cell, outcome.result, attempts=attempt)
             return False
         if failure.kind in _RETRIED_KINDS and attempt <= self.retries:
@@ -491,23 +519,26 @@ class ExperimentEngine:
         self.metrics.counter("exec.cells.escalated").inc()
         return failure
 
-    def _run_pool(self, to_run, sink: Settlement, instrumentation,
-                  progress) -> None:
-        """Process-pool backend: up to ``jobs`` forked workers."""
+    def _run_pool(self, to_run, sink: Settlement, progress) -> None:
+        """Process-pool backend: up to ``jobs`` forked workers.  Once
+        ``progress`` raises, nothing more is launched; the loop drains
+        the live workers and then re-raises."""
         timeout = self.options.timeout
         pending = deque(to_run)
         #: Cells awaiting their backoff delay: (ready_at, cell).
         delayed: List[Tuple[float, _Cell]] = []
         attempt_of: Dict[int, int] = {}
         live: Dict[object, _Attempt] = {}
+        halted: Optional[Exception] = None
+        #: Cells whose worker an outside SIGTERM stopped (see below).
+        interrupted = set()
 
         def launch(cell: _Cell) -> None:
             attempt = attempt_of.get(cell.index, 0) + 1
             attempt_of[cell.index] = attempt
             recv_end, send_end = self._ctx.Pipe(duplex=False)
             process = self._ctx.Process(
-                target=_worker_main,
-                args=(send_end, self, cell, instrumentation),
+                target=_worker_main, args=(send_end, self, cell),
                 daemon=True,
             )
             process.start()
@@ -515,19 +546,10 @@ class ExperimentEngine:
             live[recv_end] = _Attempt(
                 cell, process, recv_end, time.perf_counter(), attempt
             )
-            if progress is not None:
-                progress(cell.sim_name, cell.workload)
             self.metrics.counter("exec.cells.launched").inc()
 
         def settle(attempt: _Attempt, outcome: CellOutcome) -> None:
             cell = attempt.cell
-            if outcome.failure is None:
-                # The worker's registry died with the worker; mirror
-                # its telemetry into the parent's.
-                mirror_to_metrics(
-                    self.metrics, cell.sim_name, cell.workload,
-                    outcome.result.telemetry,
-                )
             if self._settle(cell, outcome, attempt.attempt, sink):
                 delayed.append((
                     time.perf_counter() + self._backoff(cell, attempt.attempt),
@@ -546,7 +568,7 @@ class ExperimentEngine:
             ))
 
         try:
-            while pending or live or delayed:
+            while live or (halted is None and (pending or delayed)):
                 if delayed:
                     # Promote cells whose backoff delay has elapsed.
                     now = time.perf_counter()
@@ -558,11 +580,18 @@ class ExperimentEngine:
                             still_waiting.append((ready_at, cell))
                     delayed[:] = still_waiting
 
-                while pending and len(live) < self.jobs:
-                    launch(pending.popleft())
+                while halted is None and pending and len(live) < self.jobs:
+                    cell = pending.popleft()
+                    if progress is not None:
+                        try:
+                            progress(cell.sim_name, cell.workload)
+                        except Exception as exc:
+                            halted = exc
+                            break
+                    launch(cell)
 
                 if not live:
-                    if delayed:
+                    if delayed and halted is None:
                         now = time.perf_counter()
                         time.sleep(max(0.0, min(
                             ready_at for ready_at, _ in delayed
@@ -596,6 +625,20 @@ class ExperimentEngine:
                     attempt.process.join()
                     if isinstance(message, IntegrityError):
                         raise message
+                    cell = attempt.cell
+                    if (not isinstance(message, CellOutcome)
+                            and attempt.process.exitcode == -signal.SIGTERM
+                            and cell.index not in interrupted):
+                        # Not the engine's SIGTERM (a timed-out worker is
+                        # settled below) but one sent to the whole
+                        # process group, such as a service's stop: the
+                        # cell did not fail, so it runs again, once,
+                        # unless ``progress`` stops the grid first.
+                        self.metrics.counter("exec.cells.interrupted").inc()
+                        interrupted.add(cell.index)
+                        attempt_of[cell.index] -= 1
+                        pending.appendleft(cell)
+                        continue
                     if not isinstance(message, CellOutcome):
                         message = lost(
                             attempt, "crash",
@@ -633,3 +676,5 @@ class ExperimentEngine:
                 attempt.process.terminate()
                 attempt.process.join()
                 attempt.conn.close()
+        if halted is not None:
+            raise halted

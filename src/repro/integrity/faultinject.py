@@ -546,6 +546,8 @@ def _run_cells(
     matrix = DetectionMatrix(workload="sweep")
 
     def run_grid(factory, names: Sequence[str], pool: bool):
+        # An instrumented grid runs in process, so the pool faults,
+        # which kill or hang their worker, run uninstrumented.
         return Harness(
             workloads,
             RunOptions(
@@ -555,7 +557,10 @@ def _run_cells(
                 watchdog_s=WATCHDOG_S,
             ),
             sanitizers=Sanitizers(window=SANITIZER_WINDOW),
-        ).run_grid([factory], names, instrumentation=Instrumentation())
+        ).run_grid(
+            [factory], names,
+            instrumentation=None if pool else Instrumentation(),
+        )
 
     # Controls: the unfaulted simulator through the identical path,
     # once per workload any fault will run on.
@@ -661,8 +666,9 @@ def run_detection_sweep(
     armed (non-strict, window :data:`SANITIZER_WINDOW`), a
     :data:`WATCHDOG_S` livelock watchdog and instrumentation on,
     exactly as a production grid would; pool faults (crash/hang) run
-    under a two-worker pool with a :data:`POOL_TIMEOUT_S` cell budget
-    and are skipped (not failed) where fork is unavailable.
+    under a two-worker pool with a :data:`POOL_TIMEOUT_S` cell budget,
+    uninstrumented (an instrumented grid runs in process), and are
+    skipped (not failed) where fork is unavailable.
     """
     selected = list(families) if families is not None else list(
         WORKLOAD_FAMILIES

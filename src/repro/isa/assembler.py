@@ -187,9 +187,13 @@ def _alu(
     srcs: List[str] = []
     imm: Optional[int] = None
     symbol: Optional[str] = None
-    for operand in operands[1:]:
+    for position, operand in enumerate(operands[1:], start=2):
         if operand.startswith(("#", "=")) and imm is not None:
             raise ValueError("an operate takes at most one immediate")
+        if operand.startswith(("#", "=")) and position < len(operands):
+            # The format is "register, then register or literal":
+            # moving the literal last would swap a subtraction's sides.
+            raise ValueError("an immediate must be the last operand")
         if operand.startswith("#"):
             imm = _parse_int(operand[1:])
         elif operand.startswith("="):

@@ -47,6 +47,10 @@ __all__ = ["ServiceApp", "build_server"]
 #: Cap request bodies well above any sane spec, below any DoS payload.
 _MAX_BODY = 1 << 20
 
+#: Most extra attempts a job may ask for per cell.  Quotas count cells,
+#: not attempts, and the worker runs one job at a time.
+MAX_RETRIES = 3
+
 
 class ServiceApp:
     """Wires store + quota + worker + metrics around one state root."""
@@ -92,8 +96,9 @@ class ServiceApp:
             self._started = True
 
     def shutdown(self, *, timeout: float = 30.0) -> None:
-        """Drain gracefully: the in-flight grid stops at the next cell
-        boundary and its job re-queues for the next server."""
+        """Drain gracefully: the in-flight grid starts no further cell,
+        its running cells settle into the store, and its job re-queues
+        for the next server."""
         self.worker.stop()
         if self._started:
             self.worker.join(timeout=timeout)
@@ -108,6 +113,11 @@ class ServiceApp:
         try:
             spec = ExperimentSpec.from_dict(payload)
             spec.validate(workload_set=self.workloads)
+            if spec.options.retries > MAX_RETRIES:
+                raise SpecError(
+                    f"retries must be <= {MAX_RETRIES} on this service "
+                    f"(got {spec.options.retries})"
+                )
         except SpecError as error:
             self.metrics.counter("service.jobs.rejected").inc()
             return 400, {"error": str(error)}

@@ -9,9 +9,11 @@
 Prints one readiness line (``repro-serve listening on HOST:PORT``) to
 stdout once the socket is bound — CI scripts wait for it before
 submitting.  SIGTERM / SIGINT (Ctrl-C) trigger a graceful drain: the
-in-flight grid stops at the next cell boundary (its settled cells are
-already in the shared store), its job re-queues, and the process exits
-0; a second signal exits immediately.
+in-flight grid starts no further cell, its running cells settle into
+the shared store, its job re-queues, and the process exits 0; a second
+signal exits immediately.  Pool workers ignore SIGINT; a SIGTERM to
+the whole process group kills them, and the engine runs their cells
+again rather than recording a crash.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """The execution half of the service: one thread draining the queue.
 
 Each claimed job is rebuilt into an :class:`ExperimentSpec`, its
-operational options replaced by the service's own — the shared result
-cache, no checkpoint journal, no resume, the job's event stream as the
-ledger — whatever the client named, and run through the ordinary
-:class:`~repro.validation.harness.Harness` dispatch.  The service adds
-no execution semantics of its own, so a job's result is byte-identical
+operational options replaced by the service's own — a pool as wide as
+the CPUs this process may run on (:func:`service_width`), the shared
+result cache, no checkpoint journal, no resume, the job's event stream
+as the ledger — whatever the client named, and run through the
+ordinary :class:`~repro.validation.harness.Harness` dispatch.  A job's
+cold cells therefore fan out over the engine's forked workers, which
+inherit the traces built once in this process.  The service adds no
+execution semantics of its own, so a job's result is byte-identical
 (canonically) to the same grid run from the CLI or the Python API.
 
 Two hooks thread the service through the engine:
@@ -14,15 +17,17 @@ Two hooks thread the service through the engine:
   settled cell, with every field the engine's ``Settlement`` reports —
   forwarded to the job's event stream, which is what the long-poll
   endpoint serves;
-* the ``progress`` callback fires before each computed cell — the
-  graceful-shutdown check raises :class:`ServiceShutdown` there, after
-  the last finished cell was already put durably into the shared
-  store, so a drained job re-queues and later resumes with zero
+* the ``progress`` callback fires before each computed cell starts —
+  the graceful-shutdown check raises :class:`ServiceShutdown` there.
+  The engine then starts no further cell and lets the running ones
+  settle durably into the shared store before the exception
+  propagates, so a drained job re-queues and later resumes with zero
   recompute (its settled cells replay as ``source="cache"``).
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import traceback
 from typing import Optional
@@ -33,7 +38,16 @@ from repro.obs.telemetry import cell_fields
 from repro.service.jobs import JobStore
 from repro.validation.harness import Harness
 
-__all__ = ["JobWorker", "ServiceShutdown"]
+__all__ = ["JobWorker", "ServiceShutdown", "service_width"]
+
+
+def service_width() -> int:
+    """The number of CPUs this process may run on: the pool width of
+    every job, whatever ``jobs`` the client named."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
 
 
 class ServiceShutdown(Exception):
@@ -75,8 +89,8 @@ class JobWorker(threading.Thread):
         self._stopping = threading.Event()
 
     def stop(self) -> None:
-        """Ask the worker to drain: the in-flight job stops at the next
-        cell boundary and re-queues."""
+        """Ask the worker to drain: the in-flight job starts no further
+        cell, its running cells settle, and it re-queues."""
         self._stopping.set()
 
     def run(self) -> None:
@@ -94,6 +108,7 @@ class JobWorker(threading.Thread):
             spec = self.store.spec(job_id)
             spec.validate(workload_set=self.workloads)
             options = spec.options.replace(
+                jobs=service_width(),
                 cache=self.cache,
                 checkpoint=None,
                 resume=False,

@@ -33,6 +33,7 @@ __all__ = [
     "ResultGrid",
     "Harness",
     "quarantine_failure",
+    "record_cell",
     "run_cell",
 ]
 
@@ -307,7 +308,7 @@ class CellOutcome:
 
 
 def _timed_run(simulator, trace, workload: str, options: RunOptions,
-               sanitizer, instrumentation, metrics) -> SimResult:
+               sanitizer, instrumentation) -> SimResult:
     """Time one simulator on one trace with the options' hooks wired
     into the ``run_trace`` keywords the simulator accepts."""
     name = simulator.name
@@ -336,17 +337,28 @@ def _timed_run(simulator, trace, workload: str, options: RunOptions,
     if options.blockcache is not None and "blockcache" in params:
         kwargs["blockcache"] = options.blockcache
     probe = TelemetryProbe()
-    with metrics.timer(f"harness.cell.{name}.{workload}").time():
-        result = run_trace(trace, workload, **kwargs)
+    result = run_trace(trace, workload, **kwargs)
     if result.telemetry is None:
         result.telemetry = probe.finish(result.instructions)
-    mirror_to_metrics(metrics, name, workload, result.telemetry)
-    metrics.counter("harness.runs").inc()
     if result.provenance is None:
         result.provenance = capture_provenance(
             getattr(simulator, "config", None), name=name,
         )
     return result
+
+
+def record_cell(metrics: MetricsRegistry, simulator: str, workload: str,
+                telemetry) -> None:
+    """Record one freshly measured cell's series in ``metrics``: its
+    wall time under ``harness.cell.<simulator>.<workload>``,
+    ``harness.runs``, and its telemetry under ``telemetry.*``.  Called
+    where the cell is settled, never in a pool worker, whose registry
+    dies with it."""
+    metrics.timer(f"harness.cell.{simulator}.{workload}").observe(
+        telemetry.wall_s
+    )
+    metrics.counter("harness.runs").inc()
+    mirror_to_metrics(metrics, simulator, workload, telemetry)
 
 
 def run_cell(
@@ -357,7 +369,6 @@ def run_cell(
     options: RunOptions,
     sanitizers: Sanitizers,
     instrumentation: Optional[Instrumentation] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> CellOutcome:
     """Measure one (simulator, workload) cell and classify how it ended.
 
@@ -368,7 +379,8 @@ def run_cell(
     runs ``trace`` with the instrumentation observer, a sanitizer from
     ``sanitizers``, the ``options.watchdog_s`` livelock watchdog and
     ``options.blockcache`` wired in; the result gets telemetry and
-    provenance and is audited.
+    provenance and is audited.  It records no metrics: the caller
+    settling the cell does (:func:`record_cell`).
 
     The outcome holds the result, or a :class:`CellFailure`:
     ``"invariant"`` for an :class:`IntegrityError` or a violating
@@ -378,8 +390,6 @@ def run_cell(
     """
     if options.dram_backend is not None:
         factory = _with_dram_backend(factory, options.dram_backend)
-    if metrics is None:
-        metrics = MetricsRegistry.disabled()
     name = ""
     result = failure = error = sanitizer = None
     started = time.perf_counter()
@@ -391,7 +401,7 @@ def run_cell(
         )
         result = _timed_run(
             simulator, trace, workload, options, sanitizer,
-            instrumentation, metrics,
+            instrumentation,
         )
         if sanitizer is not None:
             sanitizer.audit_result(result, expected_instructions=len(trace))
@@ -492,11 +502,14 @@ class Harness:
         quarantine is still returned.
         """
         opts = (options or RunOptions()).merged_over(self.options).trimmed()
-        return run_cell(
+        result = run_cell(
             factory, workload, self.workloads.trace(workload),
             options=opts, sanitizers=self._sanitizers_for(opts),
-            instrumentation=instrumentation, metrics=self.metrics,
+            instrumentation=instrumentation,
         ).unwrap()
+        record_cell(self.metrics, result.simulator, workload,
+                    result.telemetry)
+        return result
 
     def run_grid(
         self,
@@ -522,9 +535,9 @@ class Harness:
         bundles raise :class:`IntegrityError`.
 
         ``progress(simulator, workload)`` is called before each cell;
-        with a metrics registry attached, each in-process cell's wall
-        time is also recorded under
-        ``harness.cell.<simulator>.<workload>``.
+        with a metrics registry attached, each freshly measured cell's
+        wall time is also recorded under
+        ``harness.cell.<simulator>.<workload>``, in process or pooled.
         """
         from repro.exec.engine import ExperimentEngine
 

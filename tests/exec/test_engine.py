@@ -27,26 +27,71 @@ class TestDeterminism:
         assert parallel.workloads() == serial.workloads()
 
     def test_parallel_matches_serial_with_real_sims(self, harness):
-        """The acceptance bar: a ``jobs=4`` run of real simulators with
-        CPI-stack instrumentation serialises byte-identically to the
-        serial run (``canonical=True`` blanks only the wall-clock
-        provenance fields)."""
+        """The acceptance bar: a ``jobs=4`` run of real simulators
+        serialises byte-identically to the serial run
+        (``canonical=True`` blanks only the wall-clock provenance
+        fields)."""
         from repro.core.siminitial import make_sim_initial
         from repro.simulators.refmachine import make_native_machine
 
         factories = [make_native_machine, make_sim_initial]
-        serial = harness.run_grid(
-            factories, QUICK, instrumentation=Instrumentation()
-        )
-        parallel = harness.run_grid(
-            factories, QUICK, RunOptions(jobs=4),
-            instrumentation=Instrumentation(),
-        )
+        registry = MetricsRegistry()
+        serial = harness.run_grid(factories, QUICK)
+        parallel = ExperimentEngine(
+            harness.workloads, RunOptions(jobs=4), metrics=registry,
+        ).run_grid(factories, QUICK)
         assert parallel.to_json(canonical=True) == \
             serial.to_json(canonical=True)
-        for simulator in serial.simulators():
-            stack = parallel.get(simulator, "C-R").cpi_stack
-            assert stack and stack == serial.get(simulator, "C-R").cpi_stack
+        assert registry.counter("exec.cells.launched").value == 4
+
+    def test_instrumented_grid_runs_in_process(self, harness):
+        """Observers are built where a cell runs, so an instrumented
+        grid keeps its misses in this process at any ``jobs``: every
+        observer and profiler reaches the caller, ``exec.jobs`` reads
+        1, and the CPI stacks equal the serial run's."""
+        from repro.core.simalpha import SimAlpha
+
+        names = ["E-I", "C-R"]
+        serial = harness.run_grid(
+            [SimAlpha], names, instrumentation=Instrumentation()
+        )
+        registry = MetricsRegistry()
+        instrumentation = Instrumentation(profile=True)
+        grid = ExperimentEngine(
+            harness.workloads, RunOptions(jobs=2), metrics=registry,
+        ).run_grid([SimAlpha], names, instrumentation=instrumentation)
+        assert [(sim, wl) for sim, wl, _ in instrumentation.runs] == [
+            ("sim-alpha", "E-I"), ("sim-alpha", "C-R"),
+        ]
+        assert len(instrumentation.profilers()) == 2
+        assert registry.gauge("exec.jobs").value == 1
+        assert "exec.cells.launched" not in registry.snapshot()["counters"]
+        assert grid.to_json(canonical=True) == \
+            serial.to_json(canonical=True)
+        for name in names:
+            stack = grid.get("sim-alpha", name).cpi_stack
+            assert stack and stack == serial.get("sim-alpha", name).cpi_stack
+
+    def test_pooled_cells_record_the_in_process_series(self, harness):
+        """A freshly measured cell records the same metric series in
+        the caller's registry whether it ran in process or in a forked
+        worker: ``harness.*`` as well as ``telemetry.*``."""
+        factories = [fake_factory("fake-a"), fake_factory("fake-b", cpi=3.0)]
+        series = {}
+        for jobs in (1, 2):
+            registry = MetricsRegistry()
+            ExperimentEngine(
+                harness.workloads, RunOptions(jobs=jobs), metrics=registry,
+            ).run_grid(factories, QUICK)
+            series[jobs] = {
+                kind: sorted(
+                    name for name in names if not name.startswith("exec.")
+                )
+                for kind, names in registry.snapshot().items()
+            }
+            assert registry.counter("harness.runs").value == 4
+        assert series[1] == series[2]
+        assert "harness.cell.fake-b.E-I" in series[2]["timers"]
 
 
 class TestFaultIsolation:
@@ -110,7 +155,9 @@ class TestFaultIsolation:
     def test_deaf_worker_is_still_terminated(self, harness):
         """A worker that blocks SIGUSR1 gets the grace period, no
         diagnosis, and the kill — escalation must never let a hung
-        cell outlive its timeout by more than the grace."""
+        cell outlive its timeout by more than the grace.  The kill
+        holds when the parent has a SIGTERM handler that swallows the
+        signal, as ``repro-serve``'s drain handler does."""
         import signal as signal_module
         import time as time_module
 
@@ -127,17 +174,23 @@ class TestFaultIsolation:
             harness.workloads,
             RunOptions(jobs=2, timeout=0.5),
         )
-        started = time_module.perf_counter()
-        grid = engine.run_grid(
-            [lambda: DeafSim(FakeConfig(name="deaf", flavor="hang"))],
-            ["E-I"],
-        )
-        elapsed = time_module.perf_counter() - started
-        [failure] = grid.failures
-        assert failure.kind == "timeout"
-        assert failure.snapshot is None
-        assert "SIGUSR1" not in failure.message
-        assert elapsed < FakeSim.HANG_SECONDS / 2
+        own = signal_module.getsignal(signal_module.SIGTERM)
+        for handler in (own, lambda signum, frame: None):
+            signal_module.signal(signal_module.SIGTERM, handler)
+            try:
+                started = time_module.perf_counter()
+                grid = engine.run_grid(
+                    [lambda: DeafSim(FakeConfig(name="deaf", flavor="hang"))],
+                    ["E-I"],
+                )
+                elapsed = time_module.perf_counter() - started
+            finally:
+                signal_module.signal(signal_module.SIGTERM, own)
+            [failure] = grid.failures
+            assert failure.kind == "timeout"
+            assert failure.snapshot is None
+            assert "SIGUSR1" not in failure.message
+            assert elapsed < FakeSim.HANG_SECONDS / 2
 
     def test_inprocess_engine_isolates_exceptions(self, harness):
         engine = ExperimentEngine(harness.workloads)

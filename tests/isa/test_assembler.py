@@ -143,6 +143,7 @@ def test_immediate_only_form_reads_zero_register():
     "addq r3, r1, #5, #6",    # two immediates
     "lda r3, =table, #6",
     "addq r3, r1, r2, r4",    # three register sources
+    "subq r3, #5, r1",        # an immediate before a register source
 ])
 def test_operate_the_machine_cannot_honour_is_rejected(line):
     with pytest.raises(AssemblerError, match=r"line 3: bad operands"):

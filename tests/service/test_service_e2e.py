@@ -12,9 +12,12 @@ These exercise the acceptance criteria of the service PR over a real
   cell is served from the shared result cache (verified via the
   ``exec.cache.*`` metrics);
 * an over-budget tenant gets HTTP 429 with ``Retry-After``;
-* graceful shutdown stops the in-flight grid at a cell boundary and a
-  fresh server over the same state root resumes it from the shared
-  result store with zero recompute;
+* graceful shutdown starts no further cell, lets the running ones
+  settle (in process or in the pool), and a fresh server over the same
+  state root resumes the job from the shared result store with zero
+  recompute;
+* a job runs at the service's pool width whatever ``jobs`` the client
+  names, and a client's ``retries`` is bounded;
 * a job's persistence is one durable put per fresh cell plus a
   constant, and a job directory never holds a checkpoint journal.
 
@@ -24,11 +27,14 @@ the exact Harness/engine path real simulators take.
 """
 
 import json
+import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
+import repro.service.worker as service_worker
 from repro.exec.cache import atomic_write
 from repro.exec.spec import ExperimentSpec, RunOptions, register_simulator
 from repro.exec.spec import _EXTRA_SIMULATORS
@@ -212,6 +218,42 @@ def test_queued_job_limit_gets_429(server, fake_sims, tmp_path):
     assert excinfo.value.status == 429
 
 
+def test_unbounded_retries_are_400_not_enqueued(server, fake_sims):
+    """Quotas count cells, not attempts: a deterministically failing
+    cell with a huge retry budget would hold the worker for weeks."""
+    client = server().client()
+    spec = {"simulators": [fake_sims[0]], "workloads": ["C-Ca"]}
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit(dict(spec, options={"retries": 1_000_000}))
+    assert excinfo.value.status == 400
+    assert "retries" in excinfo.value.payload["error"]
+    assert client.jobs() == []
+    # The bound itself (``MAX_RETRIES``) is accepted.
+    job = client.submit(dict(spec, options={"retries": 3}))
+    assert not job["deduped"]
+    assert client.wait(job["id"], timeout=60)["state"] == "done"
+
+
+def test_client_jobs_is_service_owned(server, fake_sims, monkeypatch):
+    """A spec's ``jobs`` is ignored: the job runs at the service's
+    width, so a client cannot size the fork count."""
+    monkeypatch.setattr(service_worker, "service_width", lambda: 2)
+    fixture = server()
+    client = fixture.client()
+    job = client.submit({
+        "simulators": list(fake_sims), "workloads": list(WORKLOADS),
+        "options": {"jobs": 64},
+    })
+    assert client.wait(job["id"], timeout=60)["state"] == "done"
+    assert fixture.app.metrics.gauge("exec.jobs").value == 2
+    cells = [
+        e for e in client.events(job["id"])["events"] if e["kind"] == "cell"
+    ]
+    assert len(cells) == 4
+    # Pooled: every cell was measured in a forked worker.
+    assert os.getpid() not in {e["telemetry"]["pid"] for e in cells}
+
+
 def test_bad_spec_is_400_not_enqueued(server, fake_sims):
     fixture = server()
     client = fixture.client()
@@ -241,10 +283,11 @@ def journals_under(root):
 
 
 def test_graceful_shutdown_checkpoints_and_resumes(
-        server, fake_sims, tmp_path):
+        server, fake_sims, tmp_path, monkeypatch):
     """Stop the service mid-grid; a new server over the same root
     resumes the job from the shared result store with zero
-    recompute."""
+    recompute.  The gate is in memory, so the cells run in process."""
+    monkeypatch.setattr(service_worker, "service_width", lambda: 1)
     root = tmp_path / "resume-svc"
     gate = threading.Event()
     entered = threading.Event()
@@ -316,6 +359,93 @@ def test_graceful_shutdown_checkpoints_and_resumes(
             second.close()
     finally:
         _EXTRA_SIMULATORS.pop("svc-gated", None)
+
+
+def test_pooled_drain_settles_running_cells_and_resumes(
+        server, fake_sims, tmp_path, monkeypatch):
+    """Drain a job while its pool runs two cells: both settle into the
+    shared store and the third never starts.  The next server replays
+    the two and computes one, byte-identically to the serial run."""
+    monkeypatch.setattr(service_worker, "service_width", lambda: 2)
+    root = tmp_path / "pool-svc"
+    gates = tmp_path / "gates"
+    gates.mkdir()
+    release = gates / "release"
+    computed = gates / "computed"
+
+    def wait_for(path):
+        deadline = time.monotonic() + 30
+        while not path.exists():
+            assert time.monotonic() < deadline, f"{path.name} never came"
+            time.sleep(0.01)
+
+    class FileGatedSim:
+        """Marks its start in ``gates`` and holds until ``release``
+        exists: files work across the pool's forked workers."""
+
+        def __init__(self, inner):
+            self.inner = inner
+            self.config = inner.config
+
+        @property
+        def name(self):
+            return self.inner.name
+
+        def run_trace(self, trace, workload):
+            (gates / f"started-{workload}").touch()
+            wait_for(release)
+            with open(computed, "a", encoding="utf-8") as log:
+                log.write(workload + "\n")
+            return self.inner.run_trace(trace, workload)
+
+    def computed_cells():
+        return computed.read_text(encoding="utf-8").split()
+
+    base = fake_factory("svc-file-gated", cpi=2.0)
+    register_simulator("svc-file-gated", lambda: FileGatedSim(base()))
+    try:
+        spec = ExperimentSpec(("svc-file-gated",), ("C-Ca", "C-Cb", "C-R"))
+        first = ServerFixture(root)
+        job = first.client().submit(spec)
+        wait_for(gates / "started-C-Ca")
+        wait_for(gates / "started-C-Cb")
+        first.app.worker.stop()
+        release.touch()
+        first.close()
+        assert multiprocessing.active_children() == []
+
+        status = json.loads(
+            (root / "jobs" / job["id"] / "status.json").read_text()
+        )
+        assert status["state"] == "queued"
+        assert sorted(computed_cells()) == ["C-Ca", "C-Cb"]
+        assert not (gates / "started-C-R").exists()
+        stored = [n for n in os.listdir(root / "cache") if n.endswith(".json")]
+        assert len(stored) == 2
+
+        second = ServerFixture(root)
+        try:
+            client = second.client()
+            assert client.wait(job["id"], timeout=60)["state"] == "done"
+            sources = [
+                e["source"] for e in client.events(job["id"])["events"]
+                if e["kind"] == "cell"
+            ]
+            # First server: two computed cells.  Second server: those
+            # two replay from the shared store, only cell 3 computes.
+            assert sources == ["run", "run", "cache", "cache", "run"]
+            assert sorted(computed_cells()) == ["C-Ca", "C-Cb", "C-R"]
+            serial = Harness(WorkloadSet()).run_grid(
+                spec.factories(), list(spec.workloads)
+            )
+            assert (
+                client.result_text(job["id"])
+                == serial.to_json(canonical=True)
+            )
+        finally:
+            second.close()
+    finally:
+        _EXTRA_SIMULATORS.pop("svc-file-gated", None)
 
 
 def test_cells_endpoint_serves_cached_results(server, fake_sims):
