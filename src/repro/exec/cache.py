@@ -22,9 +22,10 @@ return the stored result verbatim, provenance included, so a warm run
 serialises byte-identically to the run that populated the cache.
 
 Every entry is written by :func:`atomic_write`, the package's one
-durable writer (the grid journal, the job service's status and result
-files and its quota ledger use it too), so an entry that exists is
-complete and a stored entry survives power loss.
+durable writer (the grid journal and the job service's result files
+use it too), so an entry that exists is complete and a stored entry
+survives power loss.  :func:`append_line` is its append-only sibling,
+which the job service's event logs go through.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.result import SimResult
 
 __all__ = [
-    "CacheKey", "ResultCache", "atomic_write", "cell_key",
+    "CacheKey", "ResultCache", "append_line", "atomic_write", "cell_key",
     "fingerprint_trace", "instr_signature", "model_digest",
     "source_digest",
 ]
@@ -82,10 +83,33 @@ def atomic_write(path, text: str) -> None:
         except OSError:
             pass
         raise
+    # Persist the rename itself: without the directory fsync a power
+    # loss can roll the file back to its previous contents even though
+    # the caller was told the write landed.
+    _fsync_dir(directory)
+
+
+def append_line(path, line: str, *, sync: bool = True) -> None:
+    """Append ``line`` and a newline to the file at ``path``.
+
+    With ``sync`` the file is fsynced before this returns, and so is
+    its directory when this append created the file, so a line whose
+    append returned survives power loss.  A crash mid-append can leave
+    a torn last line; readers of such a log stop at it.
+    """
+    path = os.fspath(path)
+    created = sync and not os.path.exists(path)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+        if sync:
+            handle.flush()
+            os.fsync(handle.fileno())
+    if created:
+        _fsync_dir(os.path.dirname(path) or ".")
+
+
+def _fsync_dir(directory: str) -> None:
     try:
-        # Persist the rename itself: without the directory fsync a
-        # power loss can roll the file back to its previous contents
-        # even though the caller was told the write landed.
         dir_fd = os.open(directory, os.O_RDONLY)
         try:
             os.fsync(dir_fd)

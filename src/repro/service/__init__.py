@@ -6,10 +6,11 @@ standing service that accepts those grids as typed
 :class:`~repro.exec.spec.ExperimentSpec` requests over HTTP, executes
 each distinct spec exactly once, and replays results for everyone:
 
-* :mod:`repro.service.jobs` — the durable on-disk job queue with
-  dedup-by-canonical-spec-hash and long-poll event streams;
-* :mod:`repro.service.quota` — per-tenant admission control (queued
-  jobs, cells/day);
+* :mod:`repro.service.jobs` — the durable on-disk job queue: each
+  job is its event log, with dedup-by-canonical-spec-hash, quota
+  admission and long-poll event streams;
+* :mod:`repro.service.quota` — per-tenant quota policies (queued
+  jobs, cells/day), checked against the jobs the store holds;
 * :mod:`repro.service.worker` — the execution thread that drives jobs
   through :class:`~repro.validation.harness.Harness` /
   :class:`~repro.exec.engine.ExperimentEngine` over the shared result
@@ -32,8 +33,8 @@ _EXPORTS = {
     "JobStore": "repro.service.jobs",
     "JobNotFound": "repro.service.jobs",
     "QuotaExceeded": "repro.service.quota",
-    "QuotaLedger": "repro.service.quota",
     "QuotaPolicy": "repro.service.quota",
+    "Quotas": "repro.service.quota",
     "JobWorker": "repro.service.worker",
     "ServiceShutdown": "repro.service.worker",
     "ServiceApp": "repro.service.app",

@@ -39,7 +39,7 @@ from repro.exec.cache import ResultCache
 from repro.exec.spec import ExperimentSpec, SpecError
 from repro.obs.registry import MetricsRegistry
 from repro.service.jobs import JobNotFound, JobStore
-from repro.service.quota import QuotaExceeded, QuotaLedger
+from repro.service.quota import QuotaExceeded, Quotas
 from repro.service.worker import JobWorker
 
 __all__ = ["ServiceApp", "build_server"]
@@ -60,7 +60,7 @@ class ServiceApp:
         root,
         *,
         workloads=None,
-        quota: Optional[QuotaLedger] = None,
+        quota: Optional[Quotas] = None,
         metrics: Optional[MetricsRegistry] = None,
         clock=None,
     ):
@@ -71,12 +71,7 @@ class ServiceApp:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         store_kwargs = {} if clock is None else {"clock": clock}
         self.store = JobStore(self.root, **store_kwargs)
-        quota_kwargs = {"path": os.path.join(self.root, "quota.json")}
-        if clock is not None:
-            quota_kwargs["clock"] = clock
-        self.quota = (
-            quota if quota is not None else QuotaLedger(**quota_kwargs)
-        )
+        self.quota = quota if quota is not None else Quotas()
         self.workloads = (
             workloads if workloads is not None else WorkloadSet()
         )
@@ -121,24 +116,17 @@ class ServiceApp:
         except SpecError as error:
             self.metrics.counter("service.jobs.rejected").inc()
             return 400, {"error": str(error)}
-        cells = len(spec.simulators) * len(spec.workloads)
-        key = spec.dedup_key()
-        deduped_free = (
-            reuse and self.store.active_job_for(key) is not None
-        )
-        if not deduped_free:
-            try:
-                self.quota.admit(
-                    tenant, cells=cells,
-                    queued_jobs=self.store.queued_jobs(tenant),
-                )
-            except QuotaExceeded as error:
-                self.metrics.counter("service.jobs.throttled").inc()
-                return 429, {
-                    "error": str(error),
-                    "retry_after_s": error.retry_after_s,
-                }
-        job, deduped = self.store.submit(spec, tenant, reuse=reuse)
+        try:
+            job, deduped = self.store.submit(
+                spec, tenant, reuse=reuse,
+                policy=self.quota.policy(tenant),
+            )
+        except QuotaExceeded as error:
+            self.metrics.counter("service.jobs.throttled").inc()
+            return 429, {
+                "error": str(error),
+                "retry_after_s": error.retry_after_s,
+            }
         self.metrics.counter(
             "service.jobs.deduped" if deduped
             else "service.jobs.submitted"
@@ -234,9 +222,22 @@ class _Handler(BaseHTTPRequestHandler):
         if url.path != "/v1/jobs":
             self._send(404, {"error": f"no route: POST {url.path}"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        # Both refusals leave the body unread, and unread bytes must not
+        # be parsed as a next request: they close the connection.
+        if length < 0:
+            self._send(
+                400,
+                {"error": "Content-Length must be a non-negative integer"},
+                extra_headers={"Connection": "close"},
+            )
+            return
         if length > _MAX_BODY:
-            self._send(413, {"error": "request body too large"})
+            self._send(413, {"error": "request body too large"},
+                       extra_headers={"Connection": "close"})
             return
         try:
             body = json.loads(self.rfile.read(length) or b"{}")
@@ -279,11 +280,13 @@ class _Handler(BaseHTTPRequestHandler):
                 try:
                     after = int(query.get("after", ["0"])[0])
                     timeout = float(query.get("timeout", ["0"])[0])
+                    if after < 0:
+                        raise ValueError(after)
                 except ValueError:
-                    self._send(
-                        400,
-                        {"error": "after/timeout must be numeric"},
-                    )
+                    self._send(400, {
+                        "error": "after must be an integer >= 0 and "
+                                 "timeout a number",
+                    })
                     return
                 self._send(*self.app.job_events(job_id, after, timeout))
                 return

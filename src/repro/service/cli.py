@@ -19,14 +19,13 @@ again rather than recording a crash.
 from __future__ import annotations
 
 import argparse
-import os
 import signal
 import sys
 import threading
 from typing import Dict, Optional, Sequence
 
 from repro.service.app import ServiceApp, build_server, serve_until_shutdown
-from repro.service.quota import QuotaLedger, QuotaPolicy
+from repro.service.quota import QuotaPolicy, Quotas
 from repro.validation.exitcodes import ExitCode
 
 __all__ = ["main"]
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=8321,
                         help="bind port; 0 picks an ephemeral one")
     parser.add_argument("--root", default="repro-service",
-                        help="state directory: jobs/, cache/, quota.json")
+                        help="state directory: jobs/, cache/")
     parser.add_argument("--max-queued", type=int, default=4,
                         help="default per-tenant live-job limit")
     parser.add_argument("--max-cells-per-day", type=int, default=100_000,
@@ -77,11 +76,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     tenants: Dict[str, QuotaPolicy] = {}
     for override in args.tenant_quota:
         tenants.update(override)
-    os.makedirs(args.root, exist_ok=True)
-    quota = QuotaLedger(
-        QuotaPolicy(args.max_queued, args.max_cells_per_day),
-        tenants=tenants,
-        path=os.path.join(args.root, "quota.json"),
+    quota = Quotas(
+        QuotaPolicy(args.max_queued, args.max_cells_per_day), tenants
     )
     app = ServiceApp(args.root, quota=quota)
     try:

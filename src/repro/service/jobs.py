@@ -2,39 +2,36 @@
 
 One job = one directory under ``<root>/jobs/<job_id>/``:
 
-* ``spec.json`` — the canonical :class:`~repro.exec.spec.ExperimentSpec`
-  payload, written once at submission;
-* ``status.json`` — the job's mutable face (state, tenants, error),
-  rewritten on lifecycle transitions only (submit, attach, claim,
-  requeue, finish, fail, recovery); ``cells_done`` is counted in
-  memory, so ``GET /v1/jobs/{id}`` is live while the file's copy is
-  whatever the last transition wrote;
-* ``events.jsonl`` — append-only progress stream the long-poll endpoint
-  serves (``submitted``, ``started``, ``cell``, ``checkpointed``,
-  ``done``, ``failed``); a ``cell`` event carries the keys of a
-  :class:`~repro.obs.telemetry.RunLedger` line;
+* ``events.jsonl`` — the job's only record: the append-only event log
+  the long-poll endpoint serves.  ``submitted`` carries the job's
+  ``id``, ``seq``, ``dedup_key``, ``tenant``, ``cells`` and canonical
+  ``spec``; ``failed`` carries its ``error``; a ``cell`` event carries
+  the keys of a :class:`~repro.obs.telemetry.RunLedger` line.  A job's
+  status is the fold of its log through :func:`_apply`, live and at
+  start-up;
 * ``result.json`` — the canonical ``ResultGrid`` serialisation, written
-  when the job completes.
+  before the ``done`` event.
 
-A job has no journal of its own: every fresh cell is a durable
-:meth:`~repro.exec.cache.ResultCache.put` into the service's shared
-store, so a job killed mid-grid (crash or graceful shutdown) resumes
-by running its grid again, and its settled cells replay from the store
-(``source="cache"``) without being recomputed.  Whatever the grid
-size, a job's own writes are a constant number of
-:func:`~repro.exec.cache.atomic_write` calls.
+Every lifecycle event is durable before the call that emits it returns
+(:func:`~repro.exec.cache.append_line`).  ``cell`` events are unsynced
+progress: every fresh cell is a durable put into the service's shared
+result store, so a job killed mid-grid (crash or graceful shutdown)
+resumes by running its grid again, and its settled cells replay from
+the store (``source="cache"``).  Whatever the grid size, a job's own
+durable writes are a constant number.
 
-Dedup: a job's identity is its spec's :meth:`ExperimentSpec.dedup_key`
-— the sha256 of the measurement-relevant canonical JSON.  Submitting a
-spec whose key matches a live (queued/running) or completed job
-*attaches* to that job instead of enqueueing new work: N identical
-submissions cost one simulation.  Failed jobs do not dedup, so a
-resubmission retries.
+Dedup: a spec whose :meth:`ExperimentSpec.dedup_key` matches a live or
+completed job *attaches* to it: N identical submissions cost one
+simulation and no quota.  Failed jobs do not dedup, so a resubmission
+retries.  :meth:`JobStore.submit` runs the dedup check, the quota check
+and the enqueue under the store's one lock, and reads a tenant's spend
+from the jobs the store holds, so nothing else records it.
 
-Durability: the store is rebuilt from the job directories at startup —
-``queued`` jobs re-enter the queue, ``running`` jobs (a crashed
-server's in-flight work) are re-queued and resume from the shared
-result store.  All waiting (long-poll, worker claim) is one
+Recovery folds every log at start-up and truncates a torn last line (a
+crash mid-append), so the next append starts on a fresh line.
+``queued`` jobs re-enter the queue; ``running`` jobs (a crashed
+server's in-flight work) get a ``requeued`` event and resume from the
+shared store.  All waiting (long-poll, worker claim) is one
 ``threading.Condition``; every mutation notifies it.
 """
 
@@ -46,8 +43,9 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.exec.cache import atomic_write
+from repro.exec.cache import append_line, atomic_write
 from repro.exec.spec import ExperimentSpec
+from repro.service.quota import QuotaPolicy
 
 __all__ = ["Job", "JobNotFound", "JobStore"]
 
@@ -57,6 +55,7 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 
+_LIVE = (QUEUED, RUNNING)
 _TERMINAL = (DONE, FAILED)
 
 
@@ -64,15 +63,68 @@ class JobNotFound(KeyError):
     """No job with that id (or its directory is gone)."""
 
 
-class Job:
-    """In-memory mirror of one job directory."""
+def _apply(status: Dict, event: Dict) -> None:
+    """Fold one event into a job's status: the only place a job's
+    status changes, live or at recovery."""
+    kind = event["kind"]
+    if kind == "submitted":
+        status.update(
+            id=event["id"], seq=event["seq"], state=QUEUED,
+            dedup_key=event["dedup_key"], tenant=event["tenant"],
+            tenants=[event["tenant"]], cells=event["cells"],
+            cells_done=0, created=event["ts"], error=None,
+        )
+    elif kind == "attached":
+        if event["tenant"] not in status["tenants"]:
+            # A new list: copies of the status already handed out keep
+            # the list they were given.
+            status["tenants"] = status["tenants"] + [event["tenant"]]
+    elif kind == "started":
+        status["state"] = RUNNING
+        # A resumed job re-counts: its settled cells re-announce from
+        # the shared store with source="cache".
+        status["cells_done"] = 0
+    elif kind == "cell":
+        status["cells_done"] += 1
+    elif kind in ("checkpointed", "requeued"):
+        status["state"] = QUEUED
+    elif kind == "done":
+        status["state"] = DONE
+        status["failures"] = event["failures"]
+    elif kind == "failed":
+        status["state"] = FAILED
+        status["error"] = event["error"]
 
-    def __init__(self, job_id: str, root: str, status: Dict,
-                 events: Optional[List[Dict]] = None):
+
+def _read_log(path: str) -> List[Dict]:
+    """The events of the log at ``path`` up to its first line that is
+    torn or does not decode; the file is truncated there, so the next
+    append starts on a fresh line."""
+    events: List[Dict] = []
+    good = 0
+    with open(path, "rb") as handle:
+        for line in handle:
+            if not line.endswith(b"\n"):
+                break
+            try:
+                events.append(json.loads(line))
+            except ValueError:
+                break
+            good += len(line)
+        size = os.fstat(handle.fileno()).st_size
+    if good < size:
+        os.truncate(path, good)
+    return events
+
+
+class Job:
+    """One job: its event log and the status folded from it."""
+
+    def __init__(self, job_id: str, root: str):
         self.job_id = job_id
         self.root = root
-        self.status = status
-        self.events: List[Dict] = list(events or [])
+        self.status: Dict = {}
+        self.events: List[Dict] = []
 
     @property
     def state(self) -> str:
@@ -101,104 +153,92 @@ class JobStore:
     # -- startup recovery --------------------------------------------------
 
     def _recover(self) -> None:
-        """Rebuild queue and dedup index from the job directories."""
+        """Rebuild the jobs, queue and dedup index by folding each log."""
         for job_id in sorted(os.listdir(self.jobs_dir)):
-            job_root = os.path.join(self.jobs_dir, job_id)
+            job = Job(job_id, os.path.join(self.jobs_dir, job_id))
             try:
-                with open(os.path.join(job_root, "status.json"),
-                          encoding="utf-8") as handle:
-                    status = json.load(handle)
-            except (OSError, ValueError):
-                continue  # half-written dir; harmless orphan
-            events: List[Dict] = []
-            try:
-                with open(os.path.join(job_root, "events.jsonl"),
-                          encoding="utf-8") as handle:
-                    for line in handle:
-                        if line.strip():
-                            events.append(json.loads(line))
-            except (OSError, ValueError):
-                pass
-            job = Job(job_id, job_root, status, events)
+                for event in _read_log(job.path("events.jsonl")):
+                    _apply(job.status, event)
+                    job.events.append(event)
+            except (OSError, KeyError, TypeError):
+                continue  # no log, or not one this store wrote
+            if job.status.get("id") != job_id:
+                continue  # creation never completed; harmless orphan
+            self._jobs[job_id] = job
+            self._seq = max(self._seq, job.status["seq"])
             if job.state == RUNNING:
                 # The previous server died mid-grid; the shared result
                 # store holds its settled cells.
-                job.status["state"] = QUEUED
-                self._write_status(job)
-                self._append_event(job, {"kind": "requeued"})
-            self._jobs[job_id] = job
+                self._emit(job, {"kind": "requeued"})
             if job.state == QUEUED:
                 self._queue.append(job_id)
             if job.state != FAILED:
-                self._dedup[status["dedup_key"]] = job_id
-            self._seq = max(self._seq, int(status.get("seq", 0)))
+                self._dedup[job.status["dedup_key"]] = job_id
 
     # -- persistence -------------------------------------------------------
 
-    def _write_status(self, job: Job) -> None:
-        atomic_write(
-            job.path("status.json"),
-            json.dumps(job.status, sort_keys=True),
-        )
-
-    def _append_event(self, job: Job, event: Dict) -> None:
-        event = dict(event)
-        event["index"] = len(job.events)
-        event["ts"] = round(self._clock(), 3)
+    def _emit(self, job: Job, event: Dict) -> None:
+        """Stamp ``event``, apply it and append it to the job's log;
+        a lifecycle event is durable when this returns, a ``cell``
+        event is not."""
+        event = dict(event, index=len(job.events),
+                     ts=round(self._clock(), 3))
+        _apply(job.status, event)
         job.events.append(event)
-        with open(job.path("events.jsonl"), "a",
-                  encoding="utf-8") as handle:
-            handle.write(json.dumps(event, sort_keys=True) + "\n")
+        append_line(
+            job.path("events.jsonl"), json.dumps(event, sort_keys=True),
+            sync=event["kind"] != "cell",
+        )
 
     # -- submission --------------------------------------------------------
 
-    def submit(self, spec: ExperimentSpec, tenant: str,
-               *, reuse: bool = True) -> Tuple[Job, bool]:
+    def submit(self, spec: ExperimentSpec, tenant: str, *,
+               reuse: bool = True,
+               policy: QuotaPolicy = QuotaPolicy()) -> Tuple[Job, bool]:
         """Enqueue ``spec`` for ``tenant``.
 
         Returns ``(job, deduped)``: with ``reuse`` (the default) a spec
         whose dedup key matches a non-failed job attaches to it and
-        ``deduped`` is True — the attach costs no new simulation.
+        ``deduped`` is True — the attach costs no new simulation and
+        no quota.  A new job must pass ``policy`` against the tenant's
+        live jobs and the cells it enqueued in the last 24 h, or
+        :class:`~repro.service.quota.QuotaExceeded` is raised.
         ``reuse=False`` forces a fresh job (it still shares the result
         cache, so a warm re-run recomputes nothing).
         """
         key = spec.dedup_key()
         with self._cond:
-            if reuse:
-                existing_id = self._dedup.get(key)
-                if existing_id is not None:
-                    existing = self._jobs.get(existing_id)
-                    if existing is not None and existing.state != FAILED:
-                        if tenant not in existing.status["tenants"]:
-                            existing.status["tenants"].append(tenant)
-                            self._write_status(existing)
-                        self._append_event(
-                            existing, {"kind": "attached", "tenant": tenant}
-                        )
-                        self._cond.notify_all()
-                        return existing, True
-            self._seq += 1
-            job_id = f"j{self._seq:06d}-{key[:12]}"
-            job_root = os.path.join(self.jobs_dir, job_id)
-            os.makedirs(job_root, exist_ok=True)
-            status = {
-                "id": job_id,
-                "seq": self._seq,
-                "state": QUEUED,
-                "dedup_key": key,
-                "tenant": tenant,
-                "tenants": [tenant],
-                "cells": len(spec.simulators) * len(spec.workloads),
-                "cells_done": 0,
-                "created": round(self._clock(), 3),
-                "error": None,
-            }
-            job = Job(job_id, job_root, status)
-            atomic_write(
-                job.path("spec.json"), spec.canonical_json()
+            existing_id = self._dedup.get(key) if reuse else None
+            if existing_id is not None:
+                existing = self._jobs[existing_id]
+                self._emit(existing, {"kind": "attached", "tenant": tenant})
+                self._cond.notify_all()
+                return existing, True
+            mine = [
+                job.status for job in self._jobs.values()
+                if job.status["tenant"] == tenant
+            ]
+            policy.admit(
+                tenant, spec.cells,
+                live=sum(1 for status in mine if status["state"] in _LIVE),
+                created=[(status["created"], status["cells"])
+                         for status in mine],
+                now=self._clock(),
             )
-            self._write_status(job)
-            self._append_event(job, {"kind": "submitted", "tenant": tenant})
+            while True:
+                self._seq += 1
+                job_id = f"j{self._seq:06d}-{key[:12]}"
+                job = Job(job_id, os.path.join(self.jobs_dir, job_id))
+                try:
+                    os.mkdir(job.root)
+                    break
+                except FileExistsError:
+                    pass  # a directory recovery skipped keeps its name
+            self._emit(job, {
+                "kind": "submitted", "id": job_id, "seq": self._seq,
+                "dedup_key": key, "tenant": tenant, "cells": spec.cells,
+                "spec": spec.to_dict(),
+            })
             self._jobs[job_id] = job
             self._queue.append(job_id)
             self._dedup[key] = job_id
@@ -223,13 +263,7 @@ class JobStore:
                     return None
                 self._cond.wait(remaining)
             job_id = self._queue.pop(0)
-            job = self._jobs[job_id]
-            job.status["state"] = RUNNING
-            # A resumed job re-counts: its settled cells re-announce
-            # from the shared store with source="cache".
-            job.status["cells_done"] = 0
-            self._write_status(job)
-            self._append_event(job, {"kind": "started"})
+            self._emit(self._jobs[job_id], {"kind": "started"})
             self._cond.notify_all()
             return job_id
 
@@ -238,10 +272,7 @@ class JobStore:
         cell boundary; its settled cells are already in the store)."""
         with self._cond:
             job = self._require(job_id)
-            job.status["state"] = QUEUED
-            self._write_status(job)
-            self._append_event(job, {"kind": "checkpointed",
-                                     "reason": reason})
+            self._emit(job, {"kind": "checkpointed", "reason": reason})
             if job_id not in self._queue:
                 self._queue.insert(0, job_id)
             self._cond.notify_all()
@@ -249,13 +280,9 @@ class JobStore:
     def record_progress(self, job_id: str, cell: Dict) -> None:
         """One settled grid cell (the engine's ledger hook): ``cell``
         holds the fields of a :class:`~repro.obs.telemetry.RunLedger`
-        line (:func:`~repro.obs.telemetry.cell_fields`).  Counted in
-        memory and appended to the event stream; ``status.json`` is not
-        rewritten."""
+        line (:func:`~repro.obs.telemetry.cell_fields`)."""
         with self._cond:
-            job = self._require(job_id)
-            job.status["cells_done"] += 1
-            self._append_event(job, {"kind": "cell", **cell})
+            self._emit(self._require(job_id), {"kind": "cell", **cell})
             self._cond.notify_all()
 
     def finish(self, job_id: str, result_json: str,
@@ -263,20 +290,13 @@ class JobStore:
         with self._cond:
             job = self._require(job_id)
             atomic_write(job.path("result.json"), result_json)
-            job.status["state"] = DONE
-            job.status["failures"] = failures
-            self._write_status(job)
-            self._append_event(job, {"kind": "done",
-                                     "failures": failures})
+            self._emit(job, {"kind": "done", "failures": failures})
             self._cond.notify_all()
 
     def fail(self, job_id: str, error: str) -> None:
         with self._cond:
             job = self._require(job_id)
-            job.status["state"] = FAILED
-            job.status["error"] = error[:2000]
-            self._write_status(job)
-            self._append_event(job, {"kind": "failed"})
+            self._emit(job, {"kind": "failed", "error": error[:2000]})
             # Failed jobs stop absorbing duplicate submissions.
             if self._dedup.get(job.status["dedup_key"]) == job_id:
                 del self._dedup[job.status["dedup_key"]]
@@ -290,27 +310,14 @@ class JobStore:
             raise JobNotFound(job_id)
         return job
 
-    def active_job_for(self, dedup_key: str) -> Optional[str]:
-        """The job id a duplicate submission would attach to (live or
-        done, never failed), or None."""
-        with self._lock:
-            job_id = self._dedup.get(dedup_key)
-            if job_id is None:
-                return None
-            job = self._jobs.get(job_id)
-            if job is None or job.state == FAILED:
-                return None
-            return job_id
-
     def status(self, job_id: str) -> Dict:
         with self._lock:
             return dict(self._require(job_id).status)
 
     def spec(self, job_id: str) -> ExperimentSpec:
         with self._lock:
-            path = self._require(job_id).path("spec.json")
-        with open(path, encoding="utf-8") as handle:
-            return ExperimentSpec.from_dict(json.load(handle))
+            payload = self._require(job_id).events[0]["spec"]
+        return ExperimentSpec.from_dict(payload)
 
     def result_text(self, job_id: str) -> Optional[str]:
         """The stored canonical result JSON, or None if not finished."""
@@ -339,15 +346,6 @@ class JobStore:
                     break
                 self._cond.wait(remaining)
             return list(job.events[after:]), job.state
-
-    def queued_jobs(self, tenant: Optional[str] = None) -> int:
-        """Live (queued or running) jobs, optionally for one tenant."""
-        with self._lock:
-            return sum(
-                1 for job in self._jobs.values()
-                if job.state in (QUEUED, RUNNING)
-                and (tenant is None or job.status["tenant"] == tenant)
-            )
 
     def jobs(self) -> List[Dict]:
         with self._lock:

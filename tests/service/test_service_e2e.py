@@ -11,7 +11,12 @@ These exercise the acceptance criteria of the service PR over a real
 * a repeated submission with ``reuse=false`` recomputes nothing — every
   cell is served from the shared result cache (verified via the
   ``exec.cache.*`` metrics);
-* an over-budget tenant gets HTTP 429 with ``Retry-After``;
+* an over-budget tenant gets HTTP 429 with ``Retry-After``, and
+  concurrent submissions cannot overrun a budget (dedup is free, and
+  admission and enqueue share one lock), also across a restart;
+* a body the server will not read (malformed or oversized
+  ``Content-Length``) is refused on a closed connection, and a
+  negative event cursor is a 400;
 * graceful shutdown starts no further cell, lets the running ones
   settle (in process or in the pool), and a fresh server over the same
   state root resumes the job from the shared result store with zero
@@ -19,7 +24,9 @@ These exercise the acceptance criteria of the service PR over a real
 * a job runs at the service's pool width whatever ``jobs`` the client
   names, and a client's ``retries`` is bounded;
 * a job's persistence is one durable put per fresh cell plus a
-  constant, and a job directory never holds a checkpoint journal.
+  constant, and a job directory never holds a checkpoint journal;
+* a job log ending in a torn line recovers, completes, and stays
+  readable.
 
 The simulators are the deterministic fakes from the engine tests,
 registered under service-addressable names — fast, but driven through
@@ -29,19 +36,21 @@ the exact Harness/engine path real simulators take.
 import json
 import multiprocessing
 import os
+import socket
+import sys
 import threading
 import time
 
 import pytest
 
 import repro.service.worker as service_worker
-from repro.exec.cache import atomic_write
+from repro.exec.cache import append_line, atomic_write
 from repro.exec.spec import ExperimentSpec, RunOptions, register_simulator
 from repro.exec.spec import _EXTRA_SIMULATORS
 from repro.service.app import ServiceApp, build_server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobStore
-from repro.service.quota import QuotaLedger, QuotaPolicy
+from repro.service.quota import QuotaPolicy, Quotas
 from repro.validation.harness import Harness
 from repro.workloads.suite import WorkloadSet
 
@@ -185,7 +194,7 @@ def test_reuse_false_rerun_is_all_cache_hits(server, fake_sims):
 
 
 def test_over_budget_tenant_gets_429(server, fake_sims, tmp_path):
-    quota = QuotaLedger(
+    quota = Quotas(
         QuotaPolicy(max_queued_jobs=4, max_cells_per_day=100_000),
         tenants={"smallfry": QuotaPolicy(max_queued_jobs=4,
                                          max_cells_per_day=3)},
@@ -210,8 +219,8 @@ def test_over_budget_tenant_gets_429(server, fake_sims, tmp_path):
 
 
 def test_queued_job_limit_gets_429(server, fake_sims, tmp_path):
-    quota = QuotaLedger(QuotaPolicy(max_queued_jobs=0,
-                                    max_cells_per_day=100))
+    quota = Quotas(QuotaPolicy(max_queued_jobs=0,
+                               max_cells_per_day=100))
     fixture = server(tmp_path / "jobs-svc", quota=quota)
     with pytest.raises(ServiceError) as excinfo:
         fixture.client().submit(ExperimentSpec(fake_sims, WORKLOADS))
@@ -326,9 +335,7 @@ def test_graceful_shutdown_checkpoints_and_resumes(
         gate.set()
         first.close()
 
-        status = json.loads(
-            (root / "jobs" / job["id"] / "status.json").read_text()
-        )
+        status = JobStore(root).status(job["id"])
         assert status["state"] == "queued"
         assert len(computed) == 2, "cell 3 must not run before drain"
 
@@ -414,9 +421,7 @@ def test_pooled_drain_settles_running_cells_and_resumes(
         first.close()
         assert multiprocessing.active_children() == []
 
-        status = json.loads(
-            (root / "jobs" / job["id"] / "status.json").read_text()
-        )
+        status = JobStore(root).status(job["id"])
         assert status["state"] == "queued"
         assert sorted(computed_cells()) == ["C-Ca", "C-Cb"]
         assert not (gates / "started-C-R").exists()
@@ -526,13 +531,13 @@ def test_client_named_paths_are_never_created(server, fake_sims,
 
 def test_job_persistence_is_flat_in_grid_size(server, fake_sims,
                                               monkeypatch):
-    """``status.json`` is written on lifecycle transitions only, so a
-    1x1 and a 1x8 job write it equally often; every other write the
-    8-cell job adds is one durable result-store put per fresh cell."""
+    """A job's durable writes are its synced lifecycle events plus
+    ``result.json``, so a 1x1 and a 1x8 job append equally many synced
+    events; every other durable write the 8-cell job adds is one
+    result-store put per fresh cell."""
     import repro.exec.cache
     import repro.integrity.checkpoint
     import repro.service.jobs
-    import repro.service.quota
 
     writes = []
 
@@ -540,9 +545,15 @@ def test_job_persistence_is_flat_in_grid_size(server, fake_sims,
         writes.append(os.path.basename(path))
         atomic_write(path, text)
 
+    def counting_append(path, line, *, sync=True):
+        if sync:
+            writes.append(os.path.basename(path))
+        append_line(path, line, sync=sync)
+
     for module in (repro.exec.cache, repro.integrity.checkpoint,
-                   repro.service.jobs, repro.service.quota):
+                   repro.service.jobs):
         monkeypatch.setattr(module, "atomic_write", counting)
+    monkeypatch.setattr(repro.service.jobs, "append_line", counting_append)
 
     client = server().client()
     workloads = ("C-Ca", "C-Cb", "E-DM1", "M-ROW", "M-BANK", "M-I",
@@ -555,9 +566,12 @@ def test_job_persistence_is_flat_in_grid_size(server, fake_sims,
         job = client.submit(spec)
         assert client.wait(job["id"], timeout=60)["state"] == "done"
         counts[width] = list(writes)
-    assert counts[1].count("status.json") == counts[8].count("status.json")
+    assert counts[1].count("events.jsonl") == \
+        counts[8].count("events.jsonl")
     assert len(counts[8]) - len(counts[1]) == 8 - 1
-    assert "checkpoint.journal" not in counts[1] + counts[8]
+    for name in ("checkpoint.journal", "status.json", "spec.json",
+                 "quota.json"):
+        assert name not in counts[1] + counts[8]
 
 
 def test_cell_events_carry_the_ledger_schema(server, fake_sims, tmp_path):
@@ -586,3 +600,227 @@ def test_cell_events_carry_the_ledger_schema(server, fake_sims, tmp_path):
             set(line) - {"type", "ts"}
         assert set(event["telemetry"]) == set(line["telemetry"])
         assert event["attempts"] == line["attempts"] == 1
+
+
+# -- HTTP input --------------------------------------------------------------
+
+
+def read_until_close(sock):
+    chunks = []
+    while True:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:  # closed with our bytes unread
+            chunk = b""
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+@pytest.mark.parametrize("length, code, error", [
+    ("-1", 400, "Content-Length"),
+    ("abc", 400, "Content-Length"),
+    (str(2 << 20), 413, "too large"),
+])
+def test_unread_body_is_refused_and_closes(server, length, code, error):
+    """A body the server will not read (its ``Content-Length`` negative,
+    not an integer, or too large) is refused and the connection closed,
+    so its bytes are never parsed as a next request: here, a health
+    check smuggled in the body."""
+    fixture = server()
+    smuggled = b"GET /v1/healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+    with socket.create_connection(
+            (fixture.host, fixture.port), timeout=5) as sock:
+        sock.sendall(
+            b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: " + length.encode() + b"\r\n\r\n" + smuggled
+        )
+        reply = read_until_close(sock)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % code), reply
+    assert error in json.loads(body)["error"]
+    assert fixture.client().jobs() == []
+
+
+def test_negative_event_cursor_is_400(server, fake_sims):
+    client = server().client()
+    job = client.submit(ExperimentSpec(fake_sims, WORKLOADS))
+    client.wait(job["id"], timeout=60)
+    with pytest.raises(ServiceError) as excinfo:
+        client.events(job["id"], after=-3)
+    assert excinfo.value.status == 400
+    assert "after" in excinfo.value.payload["error"]
+    page = client.events(job["id"], after=1)
+    assert page["next"] == 1 + len(page["events"])
+
+
+# -- admission races ---------------------------------------------------------
+
+
+def slow_disk(monkeypatch, delay=0.02):
+    """Make every fsync take ``delay`` seconds more, as on a busy disk:
+    any window between an admission check and the enqueue it guards
+    widens with it."""
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        time.sleep(delay)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+
+def race(targets):
+    """Run each callable on its own thread, released together, with a
+    short switch interval so that the threads interleave."""
+    barrier = threading.Barrier(len(targets))
+
+    def run(target):
+        barrier.wait(timeout=10)
+        target()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=run, args=(t,)) for t in targets
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_racing_duplicates_are_charged_once(server, fake_sims, tmp_path,
+                                            monkeypatch):
+    """Three racing identical 4-cell submissions make one job and two
+    free attaches, so a distinct 4-cell job still fits 8 cells/day."""
+    quota = Quotas(QuotaPolicy(max_queued_jobs=4, max_cells_per_day=8))
+    fixture = server(tmp_path / "dup-svc", quota=quota)
+    slow_disk(monkeypatch)
+    spec = ExperimentSpec(fake_sims, WORKLOADS)
+    replies = []
+
+    def submit():
+        try:
+            replies.append(fixture.client("tight").submit(spec))
+        except ServiceError as error:
+            replies.append(error.status)
+
+    race([submit] * 3)
+    assert all(isinstance(reply, dict) for reply in replies), replies
+    assert len({reply["id"] for reply in replies}) == 1
+    assert sorted(reply["deduped"] for reply in replies) == [
+        False, True, True,
+    ]
+    distinct = ExperimentSpec(fake_sims, ("C-R", "M-D"))
+    assert not fixture.client("tight").submit(distinct)["deduped"]
+
+
+def test_racing_submissions_respect_the_live_job_limit(
+        server, fake_sims, tmp_path, monkeypatch):
+    """Six racing distinct submissions by a tenant allowed 2 live jobs
+    leave it holding exactly 2.  The worker is stopped first, so no
+    job finishes and frees a slot mid-race."""
+    quota = Quotas(tenants={"tight": QuotaPolicy(max_queued_jobs=2,
+                                                 max_cells_per_day=100)})
+    fixture = server(tmp_path / "live-svc", quota=quota)
+    fixture.app.worker.stop()
+    fixture.app.worker.join(timeout=10)
+    assert not fixture.app.worker.is_alive()
+    slow_disk(monkeypatch)
+    codes = []
+
+    def submitter(workload):
+        def submit():
+            try:
+                fixture.client("tight").submit(
+                    ExperimentSpec(fake_sims[:1], (workload,))
+                )
+                codes.append(201)
+            except ServiceError as error:
+                codes.append(error.status)
+        return submit
+
+    race([submitter(w) for w in
+          ("C-Ca", "C-Cb", "C-R", "M-D", "E-I", "M-I")])
+    assert sorted(codes) == [201, 201, 429, 429, 429, 429]
+    live = [
+        job for job in fixture.client().jobs()
+        if job["state"] in ("queued", "running")
+    ]
+    assert len(live) == 2
+
+
+# -- recovery from the job logs ----------------------------------------------
+
+
+def test_daily_budget_survives_a_restart(fake_sims, tmp_path):
+    """Spend is folded from the job logs, so a restart neither resets
+    a budget nor charges attaches."""
+    root = tmp_path / "budget-svc"
+    quota = Quotas(QuotaPolicy(max_queued_jobs=4, max_cells_per_day=4))
+    spec = ExperimentSpec(fake_sims, WORKLOADS)
+    other = ExperimentSpec(fake_sims, ("C-R", "M-D"))
+    first = ServerFixture(root, quota=quota)
+    try:
+        client = first.client("spender")
+        job = client.submit(spec)
+        assert client.wait(job["id"], timeout=60)["state"] == "done"
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(other)
+        assert excinfo.value.status == 429
+    finally:
+        first.close()
+
+    second = ServerFixture(root, quota=quota)
+    try:
+        client = second.client("spender")
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(other)
+        assert excinfo.value.status == 429
+        assert excinfo.value.payload["retry_after_s"] > 0
+        assert client.submit(spec)["deduped"]
+        assert not second.client("thrifty").submit(other)["deduped"]
+    finally:
+        second.close()
+    assert not (root / "quota.json").exists()
+
+
+def test_torn_log_line_recovers_and_completes(fake_sims, tmp_path):
+    """A crash mid-append leaves half a ``cell`` line.  Recovery cuts
+    it, so its ``requeued`` event starts a fresh line; the job resumes
+    and completes, and after a second restart every line decodes."""
+    root = tmp_path / "torn-svc"
+    spec = ExperimentSpec(fake_sims[:1], WORKLOADS)
+    store = JobStore(root)
+    job, _ = store.submit(spec, "test")
+    assert store.claim(timeout=0) == job.job_id
+    store.record_progress(job.job_id, {
+        "simulator": fake_sims[0], "workload": WORKLOADS[0],
+        "status": "ok", "source": "run",
+    })
+    log = root / "jobs" / job.job_id / "events.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    log.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2])
+
+    fixture = ServerFixture(root)
+    try:
+        client = fixture.client()
+        assert client.wait(job.job_id, timeout=60)["state"] == "done"
+        kinds = [e["kind"] for e in client.events(job.job_id)["events"]]
+        assert kinds[:3] == ["submitted", "started", "requeued"]
+        assert kinds.count("cell") == spec.cells
+    finally:
+        fixture.close()
+
+    restarted = JobStore(root)
+    assert restarted.status(job.job_id)["state"] == "done"
+    raw = log.read_text()
+    assert raw.endswith("\n")
+    events = [json.loads(line) for line in raw.splitlines()]
+    assert [e["index"] for e in events] == list(range(len(events)))
+    assert events == restarted.events_since(job.job_id)[0]
